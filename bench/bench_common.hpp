@@ -100,8 +100,8 @@ class ZipfPicker {
 };
 
 /// A bench metric that may be structurally unmeasured. A bench that gates a
-/// property as a ratio (serve_simd, serve_aot) has no absolute p99 worth
-/// tracking; it reports `unmeasured()` and the JSONL line carries
+/// property as a ratio (serve_simd) has no absolute p99 worth tracking; it
+/// reports `unmeasured()` and the JSONL line carries
 /// `"p99_us":null,"p99_measured":false` — an explicit shape the comparer
 /// skips structurally, instead of the old 0.0 sentinel that conflated
 /// "not measured" with a value.

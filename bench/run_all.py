@@ -44,7 +44,6 @@ BENCHES = [
     ("serve_hedging", ["30"]),
     ("serve_sharding", ["200"]),
     ("serve_simd", ["200"]),
-    ("serve_aot", ["120"]),
     ("serve_cascade", ["200"]),
     ("serve_canary", ["2000"]),
 ]
@@ -119,12 +118,18 @@ def compare(old_doc, new_doc, tolerance):
     regressions = []
     # A bench added since the baseline was cut has nothing to regress
     # against: new-bench = not-measured, warn and move on (the next baseline
-    # regeneration picks it up). Only a bench that VANISHED from the run is a
-    # regression, handled below.
+    # regeneration picks it up). A baseline bench that is no longer in
+    # BENCHES went with the feature it measured: report it, never a
+    # regression. Only a bench still in BENCHES that produced no result is a
+    # regression.
     for bench in new_doc["benches"]:
         if bench not in old_doc.get("benches", {}):
             print(f"[run_all] NEW {bench}: not in baseline, skipping compare")
+    current = {name for name, _ in BENCHES}
     for bench, old in old_doc.get("benches", {}).items():
+        if bench not in current:
+            print(f"[run_all] REMOVED {bench}")
+            continue
         new = new_doc["benches"].get(bench)
         if new is None:
             regressions.append(f"{bench}: present in baseline but not re-run")
@@ -137,7 +142,7 @@ def compare(old_doc, new_doc, tolerance):
         # (n > 2*o + 1); sample-exact p99s (steal/hedge) are still caught
         # once they double, and the goodput check below stays at the plain
         # tolerance either way. A structurally unmeasured p99 on either
-        # side (serve_simd, serve_aot) is skipped entirely.
+        # side (serve_simd) is skipped entirely.
         if (o_p99 is not None and n_p99 is not None
                 and n_p99 > o_p99 * (1 + tolerance)
                 and n_p99 > 2 * o_p99 + 1):

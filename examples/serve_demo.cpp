@@ -5,15 +5,12 @@
 // LpuSimulator synchronously with hand-packed words — here the runtime does
 // the packing, batching, weighted-fair dispatch, and lifecycle.
 //
-//   $ ./serve_demo [--backend scalar|sliced|aot] [--shards N]
+//   $ ./serve_demo [--backend scalar|sliced] [--shards N]
 //                  [--trace out.json] [--prometheus] [--metrics-json]
 //
-// --backend picks the executor behind the ExecutorBackend seam: `scalar` is
-// the BitVec-at-a-time oracle interpreter, `sliced` (the default) the
-// bit-sliced SIMD interpreter, `aot` the sliced interpreter plus background
-// native codegen — early requests run bit-sliced, and once the compiled
-// artifact is promoted mid-run the rest run native (the "member runs by
-// backend" line below shows the flip). --trace FILE turns the engine's
+// --backend picks the simulator kernel: `scalar` is the BitVec-at-a-time
+// oracle interpreter, `sliced` (the default) the compiled bit-sliced SIMD
+// replay stream. --trace FILE turns the engine's
 // request-lifecycle tracing on and writes a Chrome trace-event JSON to FILE
 // (open it in chrome://tracing or Perfetto). --prometheus / --metrics-json
 // print the same ServeReport in scrape-able formats (see README
@@ -178,9 +175,9 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
       backend = argv[++i];
-      if (backend != "scalar" && backend != "sliced" && backend != "aot") {
+      if (backend != "scalar" && backend != "sliced") {
         std::cerr << "unknown --backend '" << backend
-                  << "' (expected scalar, sliced, or aot)\n";
+                  << "' (expected scalar or sliced)\n";
         return 2;
       }
     } else if (std::strcmp(argv[i], "--prometheus") == 0) {
@@ -190,7 +187,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = std::atol(argv[++i]);
     } else {
-      std::cerr << "usage: serve_demo [--backend scalar|sliced|aot] "
+      std::cerr << "usage: serve_demo [--backend scalar|sliced] "
                    "[--shards N] [--trace out.json] [--prometheus] "
                    "[--metrics-json]\n";
       return 2;
@@ -211,15 +208,9 @@ int main(int argc, char** argv) {
   opt.compile.lpu.m = 8;
   opt.compile.lpu.n = 8;
   opt.tracing = !trace_path.empty();
-  // --backend: scalar = the oracle interpreter, sliced = bit-sliced SIMD,
-  // aot = sliced until the background-compiled native artifact promotes.
+  // --backend: scalar = the oracle interpreter, sliced = bit-sliced SIMD.
   opt.simd = backend != "scalar";
-  opt.aot = backend == "aot";
   Engine engine(opt);
-  if (backend == "aot" && !engine.aot_enabled()) {
-    std::cout << "(note: --backend aot requested but AOT is pinned off in "
-                 "this environment; serving bit-sliced)\n";
-  }
 
   // load() returns a ref-counted handle carrying per-model QoS options.
   ModelOptions adder_opt;
@@ -282,22 +273,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Mid-run promotion: the traffic above was served while native codegen ran
-  // in the background; wait for the promotion fence, then serve a second
-  // wave on the compiled artifact. The by-backend line in the summary shows
-  // both eras.
-  if (engine.aot_enabled()) {
-    engine.wait_aot_ready();
-    std::vector<std::future<std::vector<bool>>> wave2;
-    for (unsigned av = 0; av < 4; ++av) {
-      for (unsigned bv = 0; bv < 4; ++bv) {
-        wave2.push_back(engine.submit(adder, encode(av, bv)));
-      }
-    }
-    for (auto& f : wave2) f.get();
-    std::cout << "(aot artifacts promoted; second wave served native)\n";
-  }
-
   // SLO-aware admission: a deadline the queue can no longer meet is refused
   // up front (kDeadlineUnmeetable) instead of wasting a lane, and a request
   // that expires while queued fails fast with DeadlineExceeded. Here the
@@ -323,16 +298,8 @@ int main(int argc, char** argv) {
   std::cout << "member work items " << rep.member_runs << " (" << rep.steals
             << " stolen by idle workers), straggler gap p99 <= "
             << rep.straggler_gap_p99_us << " us\n";
-  const auto& by = rep.member_runs_by_backend;
-  std::cout << "member runs by backend: " << by[0] << " scalar / " << by[1]
-            << " sliced / " << by[2] << " aot / " << by[3]
-            << " aot-threaded\n";
-  if (engine.aot_enabled()) {
-    const CacheStats cs = engine.cache_stats();
-    std::cout << "aot: " << cs.native_compiles << " native compile(s), "
-              << cs.native_disk_hits << " disk hit(s), " << cs.native_failures
-              << " failure(s); artifacts in " << engine.artifact_dir() << "\n";
-  }
+  std::cout << "simulator kernel: "
+            << to_string(LpuSimulator::resolve_kernel(opt.simd)) << "\n";
   std::cout << "hedges " << rep.hedges_launched << " launched, "
             << rep.hedge_wins << " won, " << rep.hedge_wasted_us
             << " us discarded\n";

@@ -7,10 +7,8 @@ namespace lbnn::kernels {
 
 /// One bit-sliced gate kernel: (a, b, out, words). The truth table is baked
 /// into the function (16 specializations per table), so a call is pure loads,
-/// logic ops, and stores — no per-gate mask setup. Shared by the sliced
-/// interpreter's replay loop (LpuSimulator::run_compiled) and the AOT
-/// backend's direct-threaded leg (src/aot/), which is why the tables live in
-/// their own translation unit instead of the simulator's.
+/// logic ops, and stores — no per-gate mask setup. Called by the bit-sliced
+/// replay loop (LpuSimulator::run_compiled).
 using KernelFn = void (*)(const std::uint64_t*, const std::uint64_t*,
                           std::uint64_t*, std::size_t);
 

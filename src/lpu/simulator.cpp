@@ -32,6 +32,23 @@ bool env_set(const char* name) {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
+/// Batch validation: throws SimError on a wrong input count, a zero-width
+/// batch, or ragged widths; returns the batch width (each bit lane is one
+/// sample).
+std::size_t validate_batch_inputs(const Program& prog,
+                                  const std::vector<BitVec>& inputs) {
+  if (inputs.size() != prog.num_primary_inputs) {
+    throw SimError("wrong number of input words");
+  }
+  const std::size_t width =
+      inputs.empty() ? prog.cfg.effective_word_width() : inputs[0].width();
+  if (width == 0) throw SimError("zero-width batch");
+  for (const auto& v : inputs) {
+    if (v.width() != width) throw SimError("ragged input word widths");
+  }
+  return width;
+}
+
 }  // namespace
 
 const char* to_string(SimdKernel k) {
@@ -82,33 +99,17 @@ BitVec eval_lut(TruthTable4 lut, const BitVec& a, const BitVec& b) {
 }
 
 LpuSimulator::LpuSimulator(const Program& program, bool simd)
-    : prog_(program),
-      kernel_(resolve_kernel(simd)),
-      fuse_(!env_set("LBNN_NO_FUSE")) {
+    : prog_(program), kernel_(resolve_kernel(simd)) {
   prog_.validate();
-  if (kernel_ == SimdKernel::kScalar) return;
+  if (kernel_ != SimdKernel::kScalar) sliced_ = compile_sliced(prog_);
+}
 
-  // Program-shaped run scratch for the bit-sliced path, allocated once here
-  // and reset (cheap memsets) per run.
-  const std::uint32_t n0 = prog_.cfg.n;
-  const std::uint32_t m0 = prog_.cfg.m;
-  reg_valid_.resize(static_cast<std::size_t>(n0) * 2 * m0);
-  prev_valid_.resize(m0);
-  cur_valid_.resize(m0);
-  output_set_.resize(prog_.num_primary_outputs);
-  const std::size_t fb_addrs =
-      static_cast<std::size_t>(prog_.num_wavefronts) * m0;
-  fb_offset_.resize(fb_addrs);
-  fb_time_.resize(fb_addrs);
-  taps_at_.resize(prog_.num_wavefronts);
-  for (const auto& tap : prog_.output_taps) {
-    taps_at_[tap.wavefront].push_back(&tap);
+void LpuSimulator::set_route_oracle(RouteOracle oracle) {
+  if (oracle && kernel_ != SimdKernel::kScalar) {
+    throw Error("set_route_oracle: the staged-switch oracle runs on the scalar "
+                "kernel only");
   }
-
-  // Lower to the compiled replay stream (see sliced_program.hpp); the
-  // staged-oracle and LBNN_NO_FUSE paths fall back to the interpretive loop
-  // at run time, so the lowering is skipped when fusing is off.
-  if (fuse_) sliced_ = compile_sliced(prog_);
+  oracle_ = std::move(oracle);
 }
 
 std::vector<std::uint32_t> LpuSimulator::resolve_staged(
@@ -136,7 +137,7 @@ std::vector<BitVec> LpuSimulator::run(const std::vector<BitVec>& inputs,
 
   std::vector<BitVec> outputs = kernel_ == SimdKernel::kScalar
                                     ? run_scalar(inputs, cancel, width)
-                                    : run_sliced(inputs, cancel, width);
+                                    : run_compiled(inputs, cancel, width);
 
   counters_.macro_cycles = prog_.macro_cycles();
   counters_.clock_cycles = prog_.clock_cycles();
@@ -365,216 +366,6 @@ std::vector<BitVec> LpuSimulator::run_compiled(const std::vector<BitVec>& inputs
       // set_word masks the tail word: bits the kernels' ~ terms set past the
       // batch width never reach the caller.
       v.set_word(w, arena[(sliced_.out_row0 + po) * words + w]);
-    }
-    outputs[po] = std::move(v);
-  }
-  return outputs;
-}
-
-// -------------------------------------------------------------------------
-// Bit-sliced interpretive kernel: every datapath row (input buffer word,
-// snapshot register, inter-LPV lane output, primary output) is `words`
-// packed 64-bit words in one flat arena; routes are row copies and gate
-// evaluation is the word/AVX2 LUT kernel over the full batch width. No
-// per-gate allocations — the arena is sized once per (program, width) and
-// reused across runs.
-//
-// This loop only runs for the configurations the compiled replay stream
-// cannot cover: the staged-switch oracle (routes resolved dynamically per
-// run) and LBNN_NO_FUSE (the un-fused interpreter requested on purpose as a
-// debug/differential knob). The default configuration delegates to
-// run_compiled above. Lane-output rows are therefore always materialized
-// here and delivery happens in the switch stage, exactly like the scalar
-// oracle.
-//
-// Observable behaviour (outputs, counters, SimError/SimCancelled points,
-// hooks, staged-switch oracle) matches run_scalar bit for bit —
-// tests/test_simd_diff.cpp is the harness holding both to it.
-// -------------------------------------------------------------------------
-std::vector<BitVec> LpuSimulator::run_sliced(const std::vector<BitVec>& inputs,
-                                             const std::atomic<bool>* cancel,
-                                             std::size_t width) {
-  // The compiled op stream covers the default configuration. The staged-
-  // switch oracle resolves routes dynamically per run, and LBNN_NO_FUSE asks
-  // for the un-fused interpreter on purpose — both fall through to the
-  // interpretive loop below.
-  if (fuse_ && !oracle_) return run_compiled(inputs, cancel, width);
-
-  const LpuConfig& cfg = prog_.cfg;
-  const std::uint32_t n = cfg.n;
-  const std::uint32_t m = cfg.m;
-  const std::size_t words = (width + 63) / 64;
-
-  // Kernel table choice is per-run: below one full vector of words an AVX2
-  // kernel falls straight into its word-loop tail, so narrow batches take
-  // the portable table directly. Each table entry is specialized to one
-  // truth table (masks constant-folded away); dispatch is one indexed call.
-  const kernels::KernelFn* ktab = kernels::word_table();
-  if (kernel_ == SimdKernel::kAvx2 && words >= 4) ktab = kernels::avx2_table();
-
-  // Arena layout, in rows of `words` 64-bit words:
-  //   [in_base   ..)  input data buffer (input_layout.size() rows)
-  //   [regs_base ..)  snapshot registers, n * 2m rows (lpv major)
-  //   [lane_base ..)  prev/cur LPV lane outputs, 2 * m rows (swapped by base)
-  //   [out_base  ..)  primary outputs
-  //   [zero_base ..)  one always-zero row (ignored-but-invalid operands)
-  const std::size_t num_in = prog_.input_layout.size();
-  const std::size_t in_base = 0;
-  const std::size_t regs_base = in_base + num_in * words;
-  const std::size_t lane_base =
-      regs_base + static_cast<std::size_t>(n) * 2 * m * words;
-  const std::size_t out_base =
-      lane_base + static_cast<std::size_t>(2) * m * words;
-  const std::size_t zero_base = out_base + prog_.num_primary_outputs * words;
-  // Zero only on (re)size: every read is guarded by a per-run valid flag (or
-  // is the never-written zero row), so stale words from a previous run are
-  // unreachable and the per-run memset would be pure overhead.
-  if (arena_.size() != zero_base + words) arena_.assign(zero_base + words, 0);
-  std::uint64_t* const arena = arena_.data();
-
-  for (std::size_t a = 0; a < num_in; ++a) {
-    const BitVec& src = inputs[prog_.input_layout[a]];
-    for (std::size_t w = 0; w < words; ++w) {
-      arena[in_base + a * words + w] = src.word(w);
-    }
-  }
-
-  // Per-run scratch reset: plain memsets over member buffers allocated at
-  // construction (see the constructor) — the hot path never allocates.
-  std::vector<char>& reg_valid = reg_valid_;
-  std::vector<char>& prev_valid = prev_valid_;
-  std::vector<char>& cur_valid = cur_valid_;
-  std::vector<char>& output_set = output_set_;
-  std::fill(reg_valid.begin(), reg_valid.end(), 0);
-  std::fill(output_set.begin(), output_set.end(), 0);
-
-  std::size_t prev_base = lane_base;
-  std::size_t cur_base = lane_base + static_cast<std::size_t>(m) * words;
-
-  // Feedback addresses are dense (addr = wavefront * m + lane), so the
-  // scalar path's hash map becomes two flat tables: row offset into
-  // fb_arena_ (-1 = never written) and the absolute write completion time.
-  // fb_time_ needs no reset — it is only read behind a non-negative offset,
-  // which implies a write earlier this run.
-  const std::size_t fb_addrs = static_cast<std::size_t>(prog_.num_wavefronts) * m;
-  std::vector<std::ptrdiff_t>& fb_offset = fb_offset_;
-  std::vector<std::uint64_t>& fb_time = fb_time_;
-  std::fill(fb_offset.begin(), fb_offset.end(), std::ptrdiff_t{-1});
-  fb_arena_.clear();
-
-  // Output taps bucketed by wavefront (taps_at_, built at construction),
-  // indexed O(1) in the terminal-LPV stage.
-  const std::vector<std::vector<const OutputTap*>>& taps_at = taps_at_;
-
-  for (std::uint32_t w = 0; w < prog_.num_wavefronts; ++w) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      throw SimCancelled("simulator run cancelled at wavefront " +
-                         std::to_string(w));
-    }
-    std::fill(prev_valid.begin(), prev_valid.end(), 0);
-    for (std::uint32_t j = 0; j < n; ++j) {
-      const LpvInstr& instr = prog_.instr[w][j];
-      if (hook_ && !instr.empty()) hook_(w, j, instr);
-
-      const std::vector<std::uint32_t> staged_src =
-          oracle_ ? resolve_staged(instr) : std::vector<std::uint32_t>{};
-
-      const std::size_t regs_j =
-          regs_base + static_cast<std::size_t>(j) * 2 * m * words;
-      char* const valid_j = reg_valid.data() + static_cast<std::size_t>(j) * 2 * m;
-
-      // 1. Switch stage: deliver rows into snapshot registers.
-      for (std::size_t ri = 0; ri < instr.routes.size(); ++ri) {
-        const RouteWrite& r = instr.routes[ri];
-        std::uint64_t* const dst = arena + regs_j + r.slot * words;
-        switch (r.src.kind) {
-          case SrcSel::Kind::kPrevLane: {
-            if (j == 0) throw SimError("LPV 0 has no predecessor to route from");
-            const std::uint32_t lane =
-                staged_src.empty() ? r.src.index : staged_src[r.slot];
-            if (lane >= m || !prev_valid[lane]) {
-              throw SimError("route from an invalid previous-LPV lane");
-            }
-            std::copy_n(arena + prev_base + lane * words, words, dst);
-            break;
-          }
-          case SrcSel::Kind::kInput:
-            std::copy_n(arena + in_base + r.src.index * words, words, dst);
-            ++counters_.input_reads;
-            break;
-          case SrcSel::Kind::kFeedback: {
-            if (r.src.index >= fb_addrs || fb_offset[r.src.index] < 0) {
-              throw SimError("feedback read before write (address " +
-                             std::to_string(r.src.index) + ")");
-            }
-            if (static_cast<std::uint64_t>(w) + j <= fb_time[r.src.index]) {
-              throw SimError("feedback read would outrun its write in hardware");
-            }
-            std::copy_n(fb_arena_.data() + fb_offset[r.src.index], words, dst);
-            break;
-          }
-        }
-        valid_j[r.slot] = 1;
-        ++counters_.route_writes;
-      }
-
-      // 2. Compute stage: the bit-sliced LUT kernel, full batch width per op,
-      // into this LPV's lane-output rows.
-      std::fill(cur_valid.begin(), cur_valid.end(), 0);
-      for (const ComputeWrite& c : instr.computes) {
-        const std::size_t slot_a = static_cast<std::size_t>(c.lane) * 2;
-        if (!c.lut.ignores_a() && !valid_j[slot_a]) {
-          throw SimError("LPE computes over an invalid A operand");
-        }
-        if (!c.lut.ignores_b() && !valid_j[slot_a + 1]) {
-          throw SimError("LPE computes over an invalid B operand");
-        }
-        const std::uint64_t* const a =
-            valid_j[slot_a] ? arena + regs_j + slot_a * words : arena + zero_base;
-        const std::uint64_t* const b = valid_j[slot_a + 1]
-                                           ? arena + regs_j + (slot_a + 1) * words
-                                           : arena + zero_base;
-        cur_valid[c.lane] = 1;
-        ++counters_.lpe_computes;
-        ktab[c.lut.bits() & 0xF](a, b, arena + cur_base + c.lane * words, words);
-      }
-
-      // 3. Terminal LPV: feedback writes and output taps.
-      if (j == n - 1) {
-        for (const Lane lane : instr.feedback_writes) {
-          if (!cur_valid[lane]) throw SimError("feedback write of an invalid lane");
-          const std::uint32_t addr = w * m + lane;
-          if (fb_offset[addr] < 0) {
-            fb_offset[addr] = static_cast<std::ptrdiff_t>(fb_arena_.size());
-            fb_arena_.resize(fb_arena_.size() + words);
-          }
-          fb_time[addr] = static_cast<std::uint64_t>(w) + n - 1;
-          std::copy_n(arena + cur_base + lane * words, words,
-                      fb_arena_.data() + fb_offset[addr]);
-          ++counters_.feedback_words;
-        }
-        for (const OutputTap* tap : taps_at[w]) {
-          if (!cur_valid[tap->lane]) throw SimError("output tap of an invalid lane");
-          std::copy_n(arena + cur_base + tap->lane * words, words,
-                      arena + out_base + tap->po_index * words);
-          output_set[tap->po_index] = 1;
-        }
-      }
-      std::swap(prev_base, cur_base);
-      prev_valid.swap(cur_valid);
-    }
-  }
-
-  std::vector<BitVec> outputs(prog_.num_primary_outputs);
-  for (std::size_t po = 0; po < outputs.size(); ++po) {
-    if (!output_set[po]) {
-      throw SimError("primary output " + std::to_string(po) + " never produced");
-    }
-    BitVec v(width, false);
-    for (std::size_t w = 0; w < words; ++w) {
-      // set_word masks the tail word: bits the ~ terms set past the batch
-      // width never reach the caller.
-      v.set_word(w, arena[out_base + po * words + w]);
     }
     outputs[po] = std::move(v);
   }

@@ -7,10 +7,22 @@
 
 #include "common/bitvec.hpp"
 #include "core/program.hpp"
-#include "lpu/backend.hpp"
 #include "lpu/sliced_program.hpp"
 
 namespace lbnn {
+
+/// Execution statistics of one batch (used by benches and reports).
+struct SimCounters {
+  std::uint64_t wavefronts = 0;
+  std::uint64_t macro_cycles = 0;
+  std::uint64_t clock_cycles = 0;
+  std::uint64_t lpe_computes = 0;
+  std::uint64_t route_writes = 0;
+  std::uint64_t input_reads = 0;
+  std::uint64_t feedback_words = 0;
+  /// computes / (wavefronts * n * m)
+  double lpe_utilization = 0.0;
+};
 
 /// Which gate-evaluation kernel a simulator instance executes with.
 ///
@@ -31,9 +43,9 @@ enum class SimdKernel : std::uint8_t { kScalar, kWord64, kAvx2 };
 
 const char* to_string(SimdKernel k);
 
-/// Cycle-level simulator of the LPU of Sec. IV — the interpreter backend
-/// pair (scalar oracle / bit-sliced) behind the ExecutorBackend seam; the
-/// AOT-compiled backends live in src/aot/.
+/// Cycle-level simulator of the LPU of Sec. IV — the one executor: the
+/// scalar oracle for tests and the compiled bit-sliced replay stream for
+/// serving.
 ///
 /// Models: per-LPE snapshot registers with hold semantics, the non-blocking
 /// multicast switch between adjacent LPVs (functional routing; the
@@ -48,15 +60,17 @@ const char* to_string(SimdKernel k);
 /// macro-cycle times and raise SimError when a program would have raced in
 /// real hardware.
 ///
-/// Execution kernels: by default (`simd` = true) runs bit-sliced — gate
-/// evaluation operates on packed 64-bit words across the full batch width in
-/// a flat scratch arena, AVX2 when the CPU has it (see SimdKernel). `simd` =
-/// false keeps the original scalar BitVec interpreter, which survives as the
-/// bit-exactness oracle for the differential tests. Environment overrides
-/// (read at construction): LBNN_FORCE_SCALAR forces the scalar kernel
-/// regardless of `simd`, LBNN_NO_AVX2 pins the bit-sliced path to the
-/// portable word-at-a-time loop — CI builds both legs.
-class LpuSimulator : public ExecutorBackend {
+/// Execution kernels: by default (`simd` = true) runs bit-sliced — the
+/// program is lowered once at construction to its flat replay stream (see
+/// sliced_program.hpp) and every run replays it over packed 64-bit words
+/// across the full batch width in a flat scratch arena, AVX2 when the CPU
+/// has it (see SimdKernel). `simd` = false keeps the original scalar BitVec
+/// interpreter, which survives as the bit-exactness oracle for the
+/// differential tests. Environment overrides (read at construction):
+/// LBNN_FORCE_SCALAR forces the scalar kernel regardless of `simd`,
+/// LBNN_NO_AVX2 pins the bit-sliced path to the portable word-at-a-time
+/// loop — CI builds both legs.
+class LpuSimulator {
  public:
   explicit LpuSimulator(const Program& program, bool simd = true);
 
@@ -72,21 +86,14 @@ class LpuSimulator : public ExecutorBackend {
   /// kernel polls at the same wavefront boundary, so a cancelled run throws
   /// at the identical point scalar or bit-sliced.
   std::vector<BitVec> run(const std::vector<BitVec>& inputs,
-                          const std::atomic<bool>* cancel = nullptr) override;
+                          const std::atomic<bool>* cancel = nullptr);
 
-  const SimCounters& counters() const override { return counters_; }
-
-  BackendKind backend_kind() const override {
-    return kernel_ == SimdKernel::kScalar ? BackendKind::kScalar
-                                          : BackendKind::kSliced;
-  }
+  /// Counters of the most recent run (partial counters after a cancel or
+  /// error, exactly as the scalar interpreter would have accumulated them).
+  const SimCounters& counters() const { return counters_; }
 
   /// The gate-evaluation kernel this instance resolved to at construction.
   SimdKernel kernel() const { return kernel_; }
-
-  /// The compiled replay stream (empty when scalar or LBNN_NO_FUSE) — the
-  /// AOT backend's codegen input when an executor is already at hand.
-  const SlicedProgram& sliced() const { return sliced_; }
 
   /// True when this CPU exposes AVX2 (always false off x86).
   static bool cpu_has_avx2();
@@ -108,21 +115,21 @@ class LpuSimulator : public ExecutorBackend {
   /// source lane actually delivered to each destination slot. Tests plug the
   /// Beneš+copy fabric in here, so a routing bug in the staged hardware
   /// model would surface as an output mismatch against the reference.
+  /// Scalar kernel only: the bit-sliced replay stream fixes every route at
+  /// construction, so setting an oracle on a bit-sliced instance throws
+  /// lbnn::Error instead of silently ignoring it.
   using RouteOracle =
       std::function<std::vector<std::uint32_t>(const std::vector<std::int32_t>&)>;
-  void set_route_oracle(RouteOracle oracle) { oracle_ = std::move(oracle); }
+  void set_route_oracle(RouteOracle oracle);
 
  private:
   std::vector<BitVec> run_scalar(const std::vector<BitVec>& inputs,
                                  const std::atomic<bool>* cancel,
                                  std::size_t width);
-  std::vector<BitVec> run_sliced(const std::vector<BitVec>& inputs,
-                                 const std::atomic<bool>* cancel,
-                                 std::size_t width);
   std::vector<BitVec> run_compiled(const std::vector<BitVec>& inputs,
                                    const std::atomic<bool>* cancel,
                                    std::size_t width);
-  /// Staged-switch resolution shared by both kernels (see set_route_oracle).
+  /// Staged-switch resolution of one LPV's routes (see set_route_oracle).
   std::vector<std::uint32_t> resolve_staged(const LpvInstr& instr) const;
 
   const Program& prog_;
@@ -130,35 +137,13 @@ class LpuSimulator : public ExecutorBackend {
   InstrHook hook_;
   RouteOracle oracle_;
   SimdKernel kernel_;
-  /// Fused switch delivery in the bit-sliced path (compute results land
-  /// directly in the next LPV's register rows — the compiled replay stream).
-  /// LBNN_NO_FUSE (read at construction) turns it off, materializing
-  /// lane-output rows like the staged-oracle path does — a debug/differential
-  /// knob.
-  bool fuse_ = true;
   /// The program lowered to its flat replay stream (see sliced_program.hpp),
-  /// built once at construction when the compiled path is live.
+  /// built once at construction for the bit-sliced kernels.
   SlicedProgram sliced_;
-  /// Flat scratch arena of the bit-sliced kernels: every datapath row
-  /// (input buffer, snapshot registers, inter-LPV lane outputs, primary
-  /// outputs, and one always-zero row) is `words_per_row` packed 64-bit
-  /// words. Sized once per (program, width) and reused across runs — the
-  /// hot loop never allocates.
+  /// Flat scratch arena of the replay stream: every row is ceil(width / 64)
+  /// packed 64-bit words. Sized once per (program, width) and reused across
+  /// runs — the hot loop never allocates.
   std::vector<std::uint64_t> arena_;
-  /// Growable feedback region (rows appended on first write to an address);
-  /// separate from arena_ so growth cannot invalidate hot-loop pointers.
-  std::vector<std::uint64_t> fb_arena_;
-  /// Bit-sliced run scratch sized at construction (program-shaped, width-
-  /// independent), reset cheaply per run instead of reallocated: validity
-  /// flags, the dense feedback tables (offset/write-time per address), and
-  /// output taps bucketed by wavefront.
-  std::vector<char> reg_valid_;
-  std::vector<char> prev_valid_;
-  std::vector<char> cur_valid_;
-  std::vector<char> output_set_;
-  std::vector<std::ptrdiff_t> fb_offset_;
-  std::vector<std::uint64_t> fb_time_;
-  std::vector<std::vector<const OutputTap*>> taps_at_;
 };
 
 /// Bitwise evaluation of a 2-input LUT over packed words.

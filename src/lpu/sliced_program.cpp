@@ -21,8 +21,8 @@ bool is_last_slot_writer(const std::vector<RouteWrite>& routes, std::size_t i) {
 }  // namespace
 
 // -------------------------------------------------------------------------
-// Lower the program into the flat op stream every non-scalar backend
-// executes. The interpreter's entire control flow — register/lane validity,
+// Lower the program into the flat op stream the bit-sliced kernels
+// execute. The interpreter's entire control flow — register/lane validity,
 // feedback read-after-write ordering, multicast fanout, dead-write elision,
 // SimError conditions, counters — depends only on the immutable program,
 // never on batch data. So it runs HERE, once, and execution degenerates to

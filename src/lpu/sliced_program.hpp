@@ -34,12 +34,9 @@ struct CounterPrefix {
   std::uint64_t feedback_words = 0;
 };
 
-/// The Program lowered to its flat replay stream — the shared IR behind
-/// every non-scalar executor backend: the sliced interpreter replays it
-/// (LpuSimulator::run_compiled), the AOT backend's direct-threaded leg
-/// pre-resolves its kernel pointers, and the AOT native codegen
-/// (src/aot/codegen.cpp) lowers it to straight-line C++. One lowering, three
-/// executors, identical observable semantics by construction.
+/// The Program lowered to its flat replay stream — what the bit-sliced
+/// kernels execute (LpuSimulator::run_compiled replays it), with observable
+/// semantics identical to the scalar interpreter by construction.
 ///
 /// Arena row layout (row 0 first so operand indices can resolve before the
 /// feedback row count is known):

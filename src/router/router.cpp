@@ -1,11 +1,7 @@
 #include "router/router.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -34,26 +30,6 @@ struct ShardWindow {
   std::uint64_t shed = 0;
   std::uint64_t completed = 0;
 };
-
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0';
-}
-
-/// One artifact directory for the whole fleet, so replica shards share
-/// content-keyed native artifacts: the first shard to finish codegen for a
-/// program publishes the .so, every other shard's codegen job finds it on
-/// disk (a native_disk_hit) instead of recompiling. Mirrors the Engine's
-/// private-dir naming with a "fleet" marker for debuggability.
-std::string make_fleet_artifact_dir() {
-  static std::atomic<std::uint64_t> counter{0};
-  const auto dir =
-      std::filesystem::temp_directory_path() /
-      ("lbnn-aot-fleet-" + std::to_string(static_cast<long>(::getpid())) + "-" +
-       std::to_string(counter.fetch_add(1)));
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 const ModelReport* find_model_row(const ServeReport& report,
                                   const std::string& name) {
@@ -168,25 +144,17 @@ Router::Router(const RouterOptions& options)
   if (options_.initial_replicas == 0) options_.initial_replicas = 1;
   options_.initial_replicas =
       std::min(options_.initial_replicas, options_.num_shards);
-  // When AOT is on and the caller named no artifact_dir, give every shard ONE
-  // shared directory instead of letting each Engine make a private one: a
-  // model replicated across shards then pays for codegen once and the other
-  // replicas warm-load the .so from disk. The gate mirrors the Engine's own
-  // enablement so we never create a directory no shard will use.
-  const bool aot_on = (options_.engine.aot || env_set("LBNN_FORCE_AOT")) &&
-                      !env_set("LBNN_NO_AOT") && options_.engine.simd &&
-                      !env_set("LBNN_FORCE_SCALAR");
-  if (aot_on && options_.engine.artifact_dir.empty()) {
-    options_.engine.artifact_dir = make_fleet_artifact_dir();
-    own_artifact_dir_ = true;
-  }
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Engine>(options_.engine));
   }
   last_tick_ = clock_->now();
   if (options_.rebalance_interval.count() > 0) {
-    rebalancer_ = std::thread([this] { rebalance_loop(); });
+    // The first deadline is fixed here, not read on the new thread: a
+    // ManualClock advance() that lands before the thread starts must still
+    // count from construction, or the cadence slips one interval.
+    const TimePoint first = last_tick_ + options_.rebalance_interval;
+    rebalancer_ = std::thread([this, first] { rebalance_loop(first); });
   }
 }
 
@@ -516,13 +484,12 @@ std::vector<std::size_t> Router::replica_shards(const RoutedHandle& h) const {
   return out;
 }
 
-void Router::rebalance_loop() {
+void Router::rebalance_loop(TimePoint next) {
   std::unique_lock<std::mutex> lk(ticks_mu_);
   // Fixed absolute cadence (next += interval, never now + interval): a
   // ManualClock advance of k intervals yields exactly k ticks no matter how
   // the advance interleaves with the loop re-registering its wait — which is
   // what makes wait_for_ticks(n) after advance(n * interval) deterministic.
-  TimePoint next = clock_->now() + options_.rebalance_interval;
   while (!stop_) {
     clock_->wait_until(lk, ticks_cv_, next, [&] { return stop_; });
     if (stop_) break;
@@ -648,14 +615,6 @@ void Router::shutdown() {
   ticks_cv_.notify_all();
   if (rebalancer_.joinable()) rebalancer_.join();
   for (const auto& s : shards_) s->shutdown();
-  if (own_artifact_dir_) {
-    // Every shard is down (their AOT jobs joined inside shutdown), so nothing
-    // can still be writing here. dlopen'd code stays mapped for any artifact
-    // a caller still holds; only the on-disk cache goes away.
-    std::error_code ec;
-    std::filesystem::remove_all(options_.engine.artifact_dir, ec);
-    own_artifact_dir_ = false;
-  }
 }
 
 FleetReport Router::report() const {

@@ -37,10 +37,6 @@ struct RouterOptions {
   std::size_t num_shards = 2;
   /// Per-shard engine template. `engine.clock` is shared by every shard and
   /// the rebalancer, so one ManualClock drives the whole fleet in tests.
-  /// When `engine.aot` is on and `engine.artifact_dir` is empty, the router
-  /// substitutes ONE shared temp directory for the whole fleet (removed at
-  /// shutdown), so replicated models pay for native codegen once and the
-  /// other shards warm-load the artifact from disk.
   runtime::EngineOptions engine;
   /// Replicas created per load() before any rebalancing (clamped to
   /// [1, num_shards]).
@@ -213,11 +209,6 @@ class Router {
   /// Direct access to one shard's Engine (tests, per-shard introspection).
   runtime::Engine& shard(std::size_t i) { return *shards_[i]; }
   runtime::ClockSource& clock() const { return *clock_; }
-  /// The fleet-wide AOT artifact directory (empty when AOT is off). Shared by
-  /// every shard; router-owned unless the caller named one in RouterOptions.
-  const std::string& artifact_dir() const {
-    return options_.engine.artifact_dir;
-  }
 
  private:
   struct Candidates;
@@ -239,7 +230,9 @@ class Router {
   /// Retire the least-loaded replica: removed from routing first, then
   /// drained via Engine::unload. No-op if only one replica remains.
   void retire_replica(const std::shared_ptr<RoutedModel>& model);
-  void rebalance_loop();
+  /// Background tick loop; `next` is the first tick's deadline, fixed by
+  /// the constructor so the cadence counts from construction.
+  void rebalance_loop(runtime::TimePoint next);
   void tick();
   void tick_model(const std::shared_ptr<RoutedModel>& model,
                   const std::vector<runtime::ServeReport>& reports,
@@ -247,7 +240,6 @@ class Router {
 
   RouterOptions options_;
   runtime::ClockSource* clock_;  ///< options_.engine.clock or the system clock
-  bool own_artifact_dir_ = false;  ///< we created engine.artifact_dir
   std::vector<std::unique_ptr<runtime::Engine>> shards_;
 
   mutable std::mutex models_mu_;

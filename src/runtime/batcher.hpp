@@ -56,9 +56,6 @@ struct MemberSlot {
   bool ran = false;           ///< the member's simulator actually executed
   bool stolen = false;        ///< executed by a worker other than the batch claimer
   bool hedge_won = false;     ///< the winning executor was the hedge duplicate
-  /// BackendKind the winning executor ran (see lpu/backend.hpp) — scalar or
-  /// sliced interpreter before an AOT promotion, native/threaded after it.
-  std::uint8_t backend = 0;
   std::uint64_t service_us = 0;  ///< winner's simulator (+ member hook) service time
   std::int64_t done_at_us = 0;   ///< completion stamp; straggler gap = max - min
 
@@ -81,7 +78,6 @@ struct MemberSlot {
     ran = other.ran;
     stolen = other.stolen;
     hedge_won = other.hedge_won;
-    backend = other.backend;
     service_us = other.service_us;
     done_at_us = other.done_at_us;
     claim.store(other.claim.load(std::memory_order_relaxed),

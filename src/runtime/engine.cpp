@@ -1,22 +1,17 @@
 #include "runtime/engine.hpp"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "aot/artifact.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "lpu/kernels.hpp"
 #include "lpu/simulator.hpp"
 #include "runtime/batcher.hpp"
 #include "runtime/metrics.hpp"
@@ -30,23 +25,6 @@ namespace {
 /// dispatched work item, so a weight-w model receives a w-proportional share
 /// of dispatches while backlogged.
 constexpr std::uint64_t kStrideScale = 1ull << 20;
-
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-/// A unique private artifact directory for an engine constructed without
-/// EngineOptions::artifact_dir (pid + per-process counter: two engines in one
-/// process, or two processes on one machine, never collide).
-std::string make_private_artifact_dir() {
-  static std::atomic<std::uint64_t> counter{0};
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("lbnn-aot-" + std::to_string(static_cast<long>(::getpid())) +
-                    "-" + std::to_string(counter.fetch_add(1)));
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 std::int64_t to_us(TimePoint tp) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -185,12 +163,6 @@ struct ModelState {
     /// (single-LPU models serve the whole netlist).
     const std::vector<std::uint32_t>* pi_indices = nullptr;
     const std::vector<std::uint32_t>* po_indices = nullptr;
-    /// The member's AOT artifact — null until the background codegen job
-    /// promotes it. Accessed with std::atomic_load/atomic_store: workers
-    /// sample it once per member run, so a promotion lands between two runs,
-    /// never inside one (the zero-dropped/zero-doubled guarantee), and a
-    /// request already running on the interpreter finishes there bit-exactly.
-    std::shared_ptr<const aot::ProgramArtifact> artifact;
   };
   std::vector<Member> members;
 
@@ -332,15 +304,6 @@ struct Engine::Impl {
   std::mutex retired_mu;
   std::vector<const Program*> retired_programs;
   std::atomic<std::size_t> retired_count{0};
-
-  /// Background AOT codegen jobs — one thread per load while AOT is on,
-  /// joined at shutdown. aot_pending counts jobs not yet finished;
-  /// wait_aot_ready() parks on aot_cv until it hits zero (no sleeps).
-  std::mutex aot_mu;
-  std::condition_variable aot_cv;
-  std::size_t aot_pending = 0;
-  bool aot_stopping = false;
-  std::vector<std::thread> aot_jobs;
 };
 
 Engine::Engine(const EngineOptions& options)
@@ -358,22 +321,6 @@ Engine::Engine(const EngineOptions& options)
   if (options_.tracing || std::getenv("LBNN_FORCE_TRACING") != nullptr) {
     tracer_ = std::make_unique<Tracer>(workers, options_.trace_ring_capacity,
                                        *clock_);
-  }
-  // AOT needs the sliced-stream compiler: with simd off (or pinned off via
-  // LBNN_FORCE_SCALAR) the engine serves the scalar oracle and artifacts
-  // would diverge from the configured baseline, so the option is ignored.
-  aot_enabled_ = (options_.aot || env_set("LBNN_FORCE_AOT")) &&
-                 !env_set("LBNN_NO_AOT") && options_.simd &&
-                 !env_set("LBNN_FORCE_SCALAR");
-  if (aot_enabled_) {
-    aot_avx2_ = kernels::cpu_has_avx2() && !env_set("LBNN_NO_AVX2");
-    if (!options_.artifact_dir.empty()) {
-      artifact_dir_ = options_.artifact_dir;
-      std::filesystem::create_directories(artifact_dir_);
-    } else {
-      artifact_dir_ = make_private_artifact_dir();
-      own_artifact_dir_ = true;
-    }
   }
   workers_.reserve(workers);
   try {
@@ -455,11 +402,9 @@ ModelHandle Engine::load(const std::string& name, const Netlist& nl,
   state->num_outputs = nl.num_outputs();
   state->cache_key = key;
   state->single_owner = compiled;
-  state->members.push_back({&compiled->program, nullptr, nullptr, nullptr});
-  ModelHandle handle = register_model(
-      std::move(state), compiled->program.cfg.effective_word_width(), mopt);
-  if (aot_enabled_) spawn_aot_jobs(handle.state_);
-  return handle;
+  state->members.push_back({&compiled->program, nullptr, nullptr});
+  return register_model(std::move(state),
+                        compiled->program.cfg.effective_word_width(), mopt);
 }
 
 ModelHandle Engine::load_parallel(const std::string& name, const Netlist& nl,
@@ -476,61 +421,11 @@ ModelHandle Engine::load_parallel(const std::string& name, const Netlist& nl,
   state->parallel_owner = compiled;
   for (const auto& member : compiled->members) {
     state->members.push_back(
-        {&member.program, &member.pi_indices, &member.po_indices, nullptr});
+        {&member.program, &member.pi_indices, &member.po_indices});
   }
-  ModelHandle handle = register_model(
+  return register_model(
       std::move(state),
       compiled->members.front().program.cfg.effective_word_width(), mopt);
-  if (aot_enabled_) spawn_aot_jobs(handle.state_);
-  return handle;
-}
-
-void Engine::spawn_aot_jobs(std::shared_ptr<ModelState> state) {
-  std::lock_guard<std::mutex> lk(impl_->aot_mu);
-  if (impl_->aot_stopping) return;
-  ++impl_->aot_pending;
-  impl_->aot_jobs.emplace_back([this, state = std::move(state)]() mutable {
-    aot_build_model(*state);
-    state.reset();  // release the model keep-alive before signalling ready
-    {
-      std::lock_guard<std::mutex> lk2(impl_->aot_mu);
-      --impl_->aot_pending;
-    }
-    impl_->aot_cv.notify_all();
-  });
-}
-
-void Engine::aot_build_model(ModelState& m) {
-  aot::AotOptions opt;
-  opt.artifact_dir = artifact_dir_;
-  opt.avx2 = aot_avx2_;
-  for (std::size_t i = 0; i < m.members.size(); ++i) {
-    const TimePoint t0 = clock_->now();
-    std::shared_ptr<const aot::ProgramArtifact> art;
-    try {
-      art = cache_.get_or_build_native(*m.members[i].program, opt);
-    } catch (...) {
-      // compile_artifact never throws on a failed native build, so this is a
-      // resource failure (e.g. the artifact dir vanished). The member simply
-      // keeps serving on the interpreter — promotion is an optimization,
-      // never a liveness dependency.
-      continue;
-    }
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        clock_->now() - t0)
-                        .count();
-    std::atomic_store(&m.members[i].artifact, art);
-    emit_trace(Tracer::kSharedTrack, TraceEventType::kPromote, m.id, 0,
-               static_cast<std::uint32_t>(i),
-               us > 0 ? static_cast<std::uint64_t>(us) : 0,
-               art->kind == BackendKind::kAotNative ? kTraceFlagNative
-                                                    : std::uint8_t{0});
-  }
-}
-
-void Engine::wait_aot_ready() {
-  std::unique_lock<std::mutex> lk(impl_->aot_mu);
-  impl_->aot_cv.wait(lk, [this] { return impl_->aot_pending == 0; });
 }
 
 std::future<ModelHandle> Engine::load_async(std::string name, Netlist nl,
@@ -916,17 +811,10 @@ void Engine::enqueue_batch(ModelState& model, Batch&& batch) {
 }
 
 struct Engine::WorkerContext {
-  /// Per-program executors this worker owns. The interpreter and the AOT
-  /// executor both carry per-run scratch (the Program/artifact are shared and
-  /// read-only), so each worker builds its own. `artifact` remembers which
-  /// promotion the cached AotExecutor was built from — a re-promotion (never
-  /// expected today, but the check is one pointer compare) rebuilds it.
-  struct Exec {
-    std::unique_ptr<LpuSimulator> sim;
-    std::shared_ptr<const aot::ProgramArtifact> artifact;
-    std::unique_ptr<aot::AotExecutor> aot;
-  };
-  std::unordered_map<const Program*, Exec> sims;
+  /// Per-program simulators this worker owns. A simulator carries per-run
+  /// scratch (the Program is shared and read-only), so each worker builds
+  /// its own.
+  std::unordered_map<const Program*, std::unique_ptr<LpuSimulator>> sims;
   std::size_t retired_seen = 0;  ///< position consumed in retired_programs
   std::size_t track = 0;         ///< this worker's trace ring (1 + worker index)
 };
@@ -1230,25 +1118,9 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
       return us > 0 ? static_cast<std::uint64_t>(us) : 0;
     };
     try {
-      // Pick the member's backend ONCE per run: a promotion that lands while
-      // this run executes takes effect on the next one. The artifact
-      // shared_ptr keeps the dlopen'd code mapped for as long as any worker
-      // still holds an executor over it.
-      WorkerContext::Exec& entry = ctx.sims[member.program];
-      ExecutorBackend* exec;
-      if (auto artifact = std::atomic_load(&member.artifact)) {
-        if (entry.artifact != artifact) {
-          entry.aot =
-              std::make_unique<aot::AotExecutor>(*member.program, artifact);
-          entry.artifact = std::move(artifact);
-        }
-        exec = entry.aot.get();
-      } else {
-        if (!entry.sim) {
-          entry.sim =
-              std::make_unique<LpuSimulator>(*member.program, options_.simd);
-        }
-        exec = entry.sim.get();
+      std::unique_ptr<LpuSimulator>& sim = ctx.sims[member.program];
+      if (!sim) {
+        sim = std::make_unique<LpuSimulator>(*member.program, options_.simd);
       }
 
       const std::vector<BitVec>* in = &work.inputs;
@@ -1267,17 +1139,16 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
       if (hook) (*hook)(work.model->name, member_index, hedge);
       // Under hedging the slot's cancel flag stops the losing copy between
       // wavefronts once the winner has claimed the result.
-      std::vector<BitVec> out = exec->run(*in, &slot.cancel);
+      std::vector<BitVec> out = sim->run(*in, &slot.cancel);
       const std::uint64_t service_us = elapsed_us();
       if (claim_result(slot)) {
         resolved = true;
         // Tell the other copy (if one is running) its result is moot.
         slot.cancel.store(true);
-        stats_.on_sim_run(exec->counters());
+        stats_.on_sim_run(sim->counters());
         slot.ran = true;
         slot.stolen = stolen;
         slot.hedge_won = hedge;
-        slot.backend = static_cast<std::uint8_t>(exec->backend_kind());
         slot.service_us = service_us;
         // Feed the admission shedder's per-item service EWMA — winner
         // samples only, so a hedged-away straggler does not teach the
@@ -1347,11 +1218,6 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
     if (stolen) flags |= kTraceFlagStolen;
     if (hedge) flags |= kTraceFlagHedge;
     if (skip) flags |= kTraceFlagSkipped;
-    if (slot.ran &&
-        (slot.backend == static_cast<std::uint8_t>(BackendKind::kAotNative) ||
-         slot.backend == static_cast<std::uint8_t>(BackendKind::kAotThreaded))) {
-      flags |= kTraceFlagNative;
-    }
     emit_trace(ctx.track, TraceEventType::kMemberDone, work.model->id, work.seq,
                static_cast<std::uint32_t>(member_index), slot.service_us, flags);
   }
@@ -1680,26 +1546,6 @@ void Engine::shutdown() {
   if (timer_.joinable()) timer_.join();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
-  }
-  // Join in-flight AOT codegen jobs after the workers: a late promotion on a
-  // dead engine is harmless, but the jobs touch the cache and tracer, which
-  // must outlive them. New jobs cannot appear (loads reject, and the
-  // stopping flag closes the spawn window for any load already past that
-  // check).
-  std::vector<std::thread> aot_jobs;
-  {
-    std::lock_guard<std::mutex> lk(impl_->aot_mu);
-    impl_->aot_stopping = true;
-    aot_jobs.swap(impl_->aot_jobs);
-  }
-  for (auto& t : aot_jobs) {
-    if (t.joinable()) t.join();
-  }
-  if (own_artifact_dir_) {
-    // Best-effort: a private artifact dir dies with its process anyway.
-    std::error_code ec;
-    std::filesystem::remove_all(artifact_dir_, ec);
-    own_artifact_dir_ = false;
   }
 }
 

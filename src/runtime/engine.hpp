@@ -160,24 +160,6 @@ struct EngineOptions {
   /// LBNN_FORCE_SCALAR / LBNN_NO_AVX2 environment overrides apply on top
   /// (CI's forced-fallback legs).
   bool simd = true;
-  /// AOT-compiled member execution behind the executor seam. Each load also
-  /// kicks off a background codegen job (overlapping serving — requests run
-  /// on the bit-sliced interpreter meanwhile) that lowers every member's
-  /// replay stream to straight-line native code, compiles it out of process,
-  /// and dlopens the artifact; where that is unavailable or fails, a portable
-  /// direct-threaded artifact is built instead. Once an artifact is ready the
-  /// member PROMOTES to it atomically between runs — zero dropped or
-  /// double-executed requests, bit-exact outputs/counters/errors either way.
-  /// Requires simd (artifacts execute the sliced stream); LBNN_FORCE_AOT=1
-  /// forces this on, LBNN_NO_AOT=1 forces it off, LBNN_AOT_THREADED=1 pins
-  /// the threaded leg, LBNN_AOT_CXX overrides the spawned compiler.
-  bool aot = false;
-  /// AOT artifact directory: codegen scratch plus the content-keyed disk
-  /// cache. A restarted (or sibling) engine pointed at the same directory
-  /// reloads artifacts instead of recompiling — the warm-restart path; the
-  /// atomic publish protocol makes concurrent writers safe. Empty means a
-  /// private per-process temp directory, removed at shutdown.
-  std::string artifact_dir;
   /// ModelOptions::queue_bound fallback when a load leaves it 0; 0 here means
   /// 4x the model's lane capacity (a few batches of headroom).
   std::size_t default_queue_bound = 0;
@@ -357,17 +339,6 @@ class Engine {
   /// whole-engine load signal for replica-placement decisions.
   std::size_t in_flight() const;
 
-  /// Block until every background AOT codegen job spawned by loads so far
-  /// has finished (each member either promoted to its artifact or fell back
-  /// to the threaded leg). Immediate when AOT is off. Tests and benches pin
-  /// the promotion instant with this instead of sleeping.
-  void wait_aot_ready();
-  /// Whether loads spawn AOT codegen (EngineOptions::aot / LBNN_FORCE_AOT,
-  /// minus the LBNN_NO_AOT and scalar-pin overrides).
-  bool aot_enabled() const { return aot_enabled_; }
-  /// The resolved artifact directory; empty when AOT is off.
-  const std::string& artifact_dir() const { return artifact_dir_; }
-
   CacheStats cache_stats() const { return cache_.stats(); }
   /// The engine's program cache, exposed for instrumentation (compile hooks
   /// in tests) and operational eviction.
@@ -471,14 +442,6 @@ class Engine {
   /// the settling worker's trace ring.
   bool drop_expired_requests(BatchWork& work, std::size_t track);
   void enqueue_batch(ModelState& model, Batch&& batch);
-  /// Launch the background codegen job for a freshly registered model (no-op
-  /// after shutdown began). The job holds the ModelState shared_ptr, so an
-  /// unload racing an in-flight codegen never frees state under it — the
-  /// late promotion just lands on a model nobody serves anymore.
-  void spawn_aot_jobs(std::shared_ptr<ModelState> state);
-  /// The job body: per member, build (or reload) the artifact through the
-  /// program cache and promote the member to it via an atomic store.
-  void aot_build_model(ModelState& m);
   void finalize(BatchWork& work, std::size_t track);
   void release_requests(std::size_t n);
   /// Keep-alive snapshot of all loaded models (sealing, draining, reporting
@@ -486,12 +449,6 @@ class Engine {
   std::vector<std::shared_ptr<ModelState>> model_snapshot() const;
 
   EngineOptions options_;
-  bool aot_enabled_ = false;  ///< options_.aot resolved against the env pins
-  bool aot_avx2_ = false;     ///< compile artifacts for AVX2 (part of the key)
-  /// Resolved EngineOptions::artifact_dir; owned (created at construction,
-  /// removed at shutdown) when the option was empty.
-  std::string artifact_dir_;
-  bool own_artifact_dir_ = false;
   ClockSource* clock_;  ///< options_.clock or the shared SystemClock
   ProgramCache cache_;
   ServeStats stats_;

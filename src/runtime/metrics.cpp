@@ -118,18 +118,6 @@ std::string to_prometheus(const std::vector<LabelledReport>& shards) {
           [](R r) { return r.deadline_met; });
   counter("lbnn_member_runs_total", "Member work items executed",
           [](R r) { return r.member_runs; });
-  // Member runs split by executor backend: the interpreter columns drain and
-  // the AOT columns fill as members promote mid-traffic.
-  os << "# HELP lbnn_member_runs_backend_total Member runs per executor backend\n";
-  os << "# TYPE lbnn_member_runs_backend_total counter\n";
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const ServeReport& r = *shards[i].report;
-    for (std::size_t b = 0; b < r.member_runs_by_backend.size(); ++b) {
-      os << "lbnn_member_runs_backend_total{backend=\""
-         << to_string(static_cast<BackendKind>(b)) << "\"" << tail[i] << "} "
-         << r.member_runs_by_backend[b] << "\n";
-    }
-  }
   counter("lbnn_steals_total", "Member runs executed by a non-claimer worker",
           [](R r) { return r.steals; });
   counter("lbnn_hedges_launched_total", "Speculative duplicates launched",
@@ -204,13 +192,6 @@ std::string to_json(const ServeReport& r) {
   os << "\"deadline_met\":" << r.deadline_met << ",";
   os << "\"goodput_per_sec\":" << r.goodput_per_sec << ",";
   os << "\"member_runs\":" << r.member_runs << ",";
-  os << "\"member_runs_by_backend\":{";
-  for (std::size_t b = 0; b < r.member_runs_by_backend.size(); ++b) {
-    if (b > 0) os << ",";
-    os << "\"" << to_string(static_cast<BackendKind>(b))
-       << "\":" << r.member_runs_by_backend[b];
-  }
-  os << "},";
   os << "\"steals\":" << r.steals << ",";
   os << "\"hedges_launched\":" << r.hedges_launched << ",";
   os << "\"hedge_wins\":" << r.hedge_wins << ",";

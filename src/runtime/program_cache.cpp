@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "aot/codegen.hpp"
-
 namespace lbnn::runtime {
 namespace {
 
@@ -178,34 +176,6 @@ std::shared_ptr<const ParallelCompileResult> ProgramCache::get_or_compile_parall
       [&] {
         if (compile_hook_) compile_hook_();
         return compile_parallel(nl, opt, k);
-      });
-}
-
-std::shared_ptr<const aot::ProgramArtifact> ProgramCache::get_or_build_native(
-    const Program& prog, const aot::AotOptions& opt, std::uint64_t* key_out) {
-  Fnv f;
-  f.mix_str(aot::content_key(prog, opt.avx2));
-  f.mix(0x6E61746976650000ull);  // "native" tag: distinct key space from programs
-  const std::uint64_t key = f.h;
-  if (key_out != nullptr) *key_out = key;
-  return get_or_join<aot::ProgramArtifact>(
-      key, inflight_native_,
-      [](Entry& e) -> std::shared_ptr<const aot::ProgramArtifact>& {
-        return e.native;
-      },
-      [&] {
-        if (native_hook_) native_hook_();
-        aot::ProgramArtifact art = aot::compile_artifact(prog, opt);
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (art.from_disk) {
-            ++stats_.native_disk_hits;
-          } else {
-            ++stats_.native_compiles;
-          }
-          if (art.native_failed) ++stats_.native_failures;
-        }
-        return art;
       });
 }
 

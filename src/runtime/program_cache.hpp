@@ -8,7 +8,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "aot/artifact.hpp"
 #include "core/compiler.hpp"
 #include "lpu/multi_lpu.hpp"
 
@@ -26,12 +25,6 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;  ///< LRU pressure plus explicit erase()
   std::size_t entries = 0;
-  /// AOT artifact admission (get_or_build_native). Together these three count
-  /// every artifact build that actually ran (in-flight joins and LRU hits are
-  /// folded into hits/misses above like any other entry):
-  std::uint64_t native_compiles = 0;   ///< built fresh (cold codegen ran)
-  std::uint64_t native_disk_hits = 0;  ///< reloaded from artifact_dir (warm restart)
-  std::uint64_t native_failures = 0;   ///< native requested but fell back to threaded
 };
 
 /// Fingerprint-keyed LRU cache of compiled programs, so repeated loads of the
@@ -65,18 +58,6 @@ class ProgramCache {
       const Netlist& nl, const CompileOptions& opt, std::uint32_t k,
       std::uint64_t* key_out = nullptr);
 
-  /// AOT artifact admission, behind the same per-key machinery as programs:
-  /// an LRU hit returns the cached artifact, concurrent same-key builds join
-  /// one in-flight future (codegen and the out-of-process compile run OUTSIDE
-  /// the cache lock, overlapping serving), and distinct keys build in
-  /// parallel. Keyed by the artifact content key (serialized program + ABI +
-  /// ISA — see aot::content_key), so two Programs with identical text share
-  /// one artifact. Never throws on a failed native build: the result is then
-  /// the direct-threaded fallback (counted in CacheStats::native_failures).
-  std::shared_ptr<const aot::ProgramArtifact> get_or_build_native(
-      const Program& prog, const aot::AotOptions& opt,
-      std::uint64_t* key_out = nullptr);
-
   /// Cache key of a k-way parallel assembly compiled from a netlist whose
   /// single-LPU fingerprint is `single_fp` (distinct key space from k = 0).
   static std::uint64_t parallel_key(std::uint64_t single_fp, std::uint32_t k);
@@ -91,21 +72,14 @@ class ProgramCache {
   /// loads are in flight.
   void set_compile_hook(std::function<void()> hook) { compile_hook_ = std::move(hook); }
 
-  /// Same, for actual artifact builds (get_or_build_native misses): invoked
-  /// outside the lock just before compile_artifact runs. Joins and LRU hits
-  /// never fire it — the warm-restart smoke test asserts zero invocations.
-  void set_native_hook(std::function<void()> hook) { native_hook_ = std::move(hook); }
-
   CacheStats stats() const;
   std::size_t capacity() const { return capacity_; }
 
  private:
   struct Entry {
-    /// Exactly one of the three is set, matching the key's tag (k component
-    /// for programs, the native tag for artifacts).
+    /// Exactly one of the two is set, matching the key's k component.
     std::shared_ptr<const CompileResult> single;
     std::shared_ptr<const ParallelCompileResult> parallel;
-    std::shared_ptr<const aot::ProgramArtifact> native;
     std::list<std::uint64_t>::iterator lru_it;
   };
 
@@ -134,10 +108,8 @@ class ProgramCache {
   /// Keys whose compile is running right now; latecomers join the future.
   InflightMap<CompileResult> inflight_single_;
   InflightMap<ParallelCompileResult> inflight_parallel_;
-  InflightMap<aot::ProgramArtifact> inflight_native_;
   CacheStats stats_;
   std::function<void()> compile_hook_;
-  std::function<void()> native_hook_;
 };
 
 }  // namespace lbnn::runtime

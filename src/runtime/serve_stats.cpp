@@ -71,22 +71,17 @@ void ModelStats::on_members_done(const std::vector<MemberSlot>& slots) {
   std::uint64_t ran = 0;
   std::uint64_t stolen = 0;
   std::uint64_t hedge_won = 0;
-  std::array<std::uint64_t, 4> by_backend{};
   for (const MemberSlot& slot : slots) {
     if (!slot.ran) continue;
     ++ran;
     if (slot.stolen) ++stolen;
     if (slot.hedge_won) ++hedge_won;
-    ++by_backend[slot.backend & 3];
   }
   if (ran == 0) return;
   std::lock_guard<std::mutex> lk(mu_);
   member_runs_ += ran;
   steals_ += stolen;
   hedge_wins_ += hedge_won;
-  for (std::size_t b = 0; b < by_backend.size(); ++b) {
-    member_runs_by_backend_[b] += by_backend[b];
-  }
 }
 
 void ModelStats::on_hedge_launched() {
@@ -125,9 +120,6 @@ void ModelStats::merge_from(const ModelStats& other) {
   expired_ += other.expired_;
   deadline_met_ += other.deadline_met_;
   member_runs_ += other.member_runs_;
-  for (std::size_t b = 0; b < member_runs_by_backend_.size(); ++b) {
-    member_runs_by_backend_[b] += other.member_runs_by_backend_[b];
-  }
   steals_ += other.steals_;
   hedges_launched_ += other.hedges_launched_;
   hedge_wins_ += other.hedge_wins_;
@@ -161,7 +153,6 @@ ModelReport ModelStats::report() const {
   r.expired = expired_;
   r.deadline_met = deadline_met_;
   r.member_runs = member_runs_;
-  r.member_runs_by_backend = member_runs_by_backend_;
   r.steals = steals_;
   r.hedges_launched = hedges_launched_;
   r.hedge_wins = hedge_wins_;
@@ -223,7 +214,6 @@ void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
   std::uint64_t ran = 0;
   std::uint64_t stolen = 0;
   std::uint64_t hedge_won = 0;
-  std::array<std::uint64_t, 4> by_backend{};
   std::int64_t first_done = 0;
   std::int64_t last_done = 0;
   for (const MemberSlot& slot : slots) {
@@ -233,7 +223,6 @@ void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
     ++ran;
     if (slot.stolen) ++stolen;
     if (slot.hedge_won) ++hedge_won;
-    ++by_backend[slot.backend & 3];
   }
   if (ran == 0) return;
   std::lock_guard<std::mutex> lk(mu_);
@@ -245,9 +234,6 @@ void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
     }
   }
   member_runs_ += ran;
-  for (std::size_t b = 0; b < by_backend.size(); ++b) {
-    member_runs_by_backend_[b] += by_backend[b];
-  }
   steals_ += stolen;
   hedge_wins_ += hedge_won;
   if (ran > 1) {
@@ -296,7 +282,6 @@ ServeReport ServeStats::report() const {
   r.goodput_per_sec =
       r.wall_seconds > 0.0 ? static_cast<double>(deadline_met_) / r.wall_seconds : 0.0;
   r.member_runs = member_runs_;
-  r.member_runs_by_backend = member_runs_by_backend_;
   r.steals = steals_;
   r.hedges_launched = hedges_launched_;
   r.hedge_wins = hedge_wins_;
@@ -338,7 +323,6 @@ void ServeStats::reset() {
   requests_ = batches_ = samples_ = lanes_offered_ = 0;
   shed_ = expired_ = deadline_met_ = 0;
   member_runs_ = steals_ = 0;
-  member_runs_by_backend_.fill(0);
   member_samples_.clear();
   hedges_launched_ = hedge_wins_ = hedge_wasted_us_ = 0;
   sim_ = SimCounters{};

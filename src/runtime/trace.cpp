@@ -58,7 +58,6 @@ const char* to_string(TraceEventType type) {
     case TraceEventType::kExpire: return "expire";
     case TraceEventType::kRequestDone: return "request_done";
     case TraceEventType::kFinalize: return "finalize";
-    case TraceEventType::kPromote: return "promote";
   }
   return "unknown";
 }

@@ -36,9 +36,6 @@ enum class TraceEventType : std::uint8_t {
   kExpire,        ///< dequeue-time expiry settled requests; arg = how many
   kRequestDone,   ///< one request's future resolved; id = request id
   kFinalize,      ///< batch finalized (stats fed, futures about to resolve)
-  kPromote,       ///< a member's AOT artifact went live; member = index,
-                  ///< arg = codegen us, kTraceFlagNative set for the native
-                  ///< (dlopen'd) leg, clear for the threaded fallback
 };
 
 const char* to_string(TraceEventType type);
@@ -49,8 +46,6 @@ constexpr std::uint8_t kTraceFlagHedge = 1u << 1;    ///< the speculative duplic
 constexpr std::uint8_t kTraceFlagExpired = 1u << 2;  ///< request failed by expiry
 constexpr std::uint8_t kTraceFlagFailed = 1u << 3;   ///< request failed by batch error
 constexpr std::uint8_t kTraceFlagSkipped = 1u << 4;  ///< fully-expired batch: no sim run
-constexpr std::uint8_t kTraceFlagNative = 1u << 5;   ///< member ran (or promoted to) an
-                                                     ///< AOT artifact, not the interpreter
 
 /// One fixed-size trace record. Plain data on purpose: events are copied
 /// into bounded ring buffers on the hot path, so no strings and no heap —

@@ -34,8 +34,8 @@ struct AliasReport {
 ///
 /// Clients address models by a stable alias ("jsc@prod"); versions are plain
 /// models loaded under distinct names ("jsc_v1", "jsc_v2"), so a new version
-/// loaded next to the old one reuses the engine's ProgramCache / AOT
-/// artifact dedup exactly like any other load. A canary rollout is:
+/// loaded next to the old one reuses the engine's ProgramCache dedup
+/// exactly like any other load. A canary rollout is:
 ///
 ///   table.publish("jsc@prod", v1);
 ///   table.set_canary("jsc@prod", v2, /*canary_weight=*/0, 1);  // 0% staged

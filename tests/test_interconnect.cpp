@@ -214,19 +214,30 @@ TEST(Multicast, StagedSwitchModeMatchesReference) {
   opt.lpu.n = 8;
   const CompileResult res = compile(nl, opt);
 
-  LpuSimulator sim(res.program);
+  // The oracle runs on the scalar kernel: the bit-sliced replay stream fixes
+  // every route at construction.
+  LpuSimulator sim(res.program, /*simd=*/false);
   const MulticastSwitch fabric(opt.lpu.m, 2 * opt.lpu.m);
-  sim.set_route_oracle([&fabric](const std::vector<std::int32_t>& assignment) {
-    const auto cfg = fabric.route(assignment);
-    std::vector<std::uint32_t> ids(fabric.sources());
-    std::iota(ids.begin(), ids.end(), 0);
-    return fabric.apply(cfg, ids);
-  });
+  const LpuSimulator::RouteOracle oracle =
+      [&fabric](const std::vector<std::int32_t>& assignment) {
+        const auto cfg = fabric.route(assignment);
+        std::vector<std::uint32_t> ids(fabric.sources());
+        std::iota(ids.begin(), ids.end(), 0);
+        return fabric.apply(cfg, ids);
+      };
+  sim.set_route_oracle(oracle);
 
   Rng rng(22);
   for (int round = 0; round < 3; ++round) {
     const auto in = random_inputs(nl, 32, rng);
     EXPECT_EQ(sim.run(in), simulate(nl, in));
+  }
+
+  // A bit-sliced instance refuses the oracle instead of ignoring it
+  // (LBNN_FORCE_SCALAR resolves the simd request to the scalar kernel).
+  LpuSimulator sliced(res.program);
+  if (sliced.kernel() != SimdKernel::kScalar) {
+    EXPECT_THROW(sliced.set_route_oracle(oracle), Error);
   }
 }
 

@@ -1,14 +1,14 @@
 // Differential harness for the bit-sliced execution kernels.
 //
-// The contract under test (simulator.hpp): kScalar, kWord64 and kAvx2 — and
-// within the bit-sliced path, the compiled op stream and the LBNN_NO_FUSE
-// interpreter — are bit-exact for every program, batch width, and batch
-// content, including WHERE they throw: SimCancelled lands at the same
-// wavefront boundary and SimError carries the same message from every
-// kernel. Programs come from the real pipeline (netlist/random_circuits ×
-// the compiler), widths deliberately straddle the 64-bit word boundary, and
-// every output is additionally checked against the netlist-level reference
-// simulator, so a bug that both LpuSimulator kernels share still fails.
+// The contract under test (simulator.hpp): the scalar oracle and the
+// compiled bit-sliced replay stream, on both its kWord64 and kAvx2 kernels,
+// are bit-exact for every program, batch width, and batch content, including
+// WHERE they throw: SimCancelled lands at the same wavefront boundary and
+// SimError carries the same message from every kernel. Programs come from
+// the real pipeline (netlist/random_circuits × the compiler), widths
+// deliberately straddle the 64-bit word boundary, and every output is
+// additionally checked against the netlist-level reference simulator, so a
+// bug that both LpuSimulator kernels share still fails.
 //
 // Seeded like test_admission_fuzz: three pinned seeds per-PR, and the
 // nightly LBNN_FUZZ_SEEDS=<n> sweep widens to n extra seeds.
@@ -16,11 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "aot/artifact.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
@@ -103,28 +101,9 @@ DiffCase random_case(std::uint64_t seed) {
   return c;
 }
 
-/// The direct-threaded AOT artifact for a case, built once per round and
-/// diffed at every width alongside the interpreter kernels. (The in-process
-/// leg only: the native leg's full matrix — including disk caching and
-/// out-of-process compiles — lives in test_aot.cpp, and compiling one .so
-/// per fuzz seed here would dominate the suite's runtime.) LBNN_NO_AOT
-/// skips the leg entirely — CI's interpreter-only matrix row.
-std::shared_ptr<const aot::ProgramArtifact> threaded_artifact(const DiffCase& c) {
-  if (const char* v = std::getenv("LBNN_NO_AOT");
-      v != nullptr && v[0] != '\0' && v[0] != '0') {
-    return nullptr;
-  }
-  aot::AotOptions opt;
-  opt.allow_native = false;
-  return std::make_shared<const aot::ProgramArtifact>(
-      aot::compile_artifact(c.res.program, opt));
-}
-
 /// Run one program at one width through every kernel and compare everything
 /// observable: outputs (also against the netlist reference) and counters.
-void diff_at_width(const DiffCase& c, std::size_t width, Rng& rng,
-                   const std::shared_ptr<const aot::ProgramArtifact>& aot_art =
-                       nullptr) {
+void diff_at_width(const DiffCase& c, std::size_t width, Rng& rng) {
   SCOPED_TRACE("width " + std::to_string(width));
   ScopedEnvClear no_ambient_pin("LBNN_FORCE_SCALAR");
   const std::vector<BitVec> in = random_inputs(c.nl, width, rng);
@@ -139,30 +118,12 @@ void diff_at_width(const DiffCase& c, std::size_t width, Rng& rng,
   EXPECT_NE(sliced.kernel(), SimdKernel::kScalar);
   EXPECT_EQ(sliced.run(in), scalar_out);
 
-  {
-    // The un-fused interpretive bit-sliced loop is its own code path.
-    ScopedEnv no_fuse("LBNN_NO_FUSE", "1");
-    LpuSimulator interp(c.res.program);
-    EXPECT_EQ(interp.run(in), scalar_out);
-  }
   if (LpuSimulator::cpu_has_avx2()) {
     // Pin the portable word64 loop even where AVX2 would be picked.
     ScopedEnv no_avx2("LBNN_NO_AVX2", "1");
     LpuSimulator word64(c.res.program);
     ASSERT_EQ(word64.kernel(), SimdKernel::kWord64);
     EXPECT_EQ(word64.run(in), scalar_out);
-  }
-  if (aot_art != nullptr) {
-    aot::AotExecutor aot_exec(c.res.program, aot_art);
-    EXPECT_EQ(aot_exec.run(in), scalar_out);
-    const SimCounters& ac = aot_exec.counters();
-    const SimCounters& sc0 = scalar.counters();
-    EXPECT_EQ(sc0.wavefronts, ac.wavefronts);
-    EXPECT_EQ(sc0.lpe_computes, ac.lpe_computes);
-    EXPECT_EQ(sc0.route_writes, ac.route_writes);
-    EXPECT_EQ(sc0.input_reads, ac.input_reads);
-    EXPECT_EQ(sc0.feedback_words, ac.feedback_words);
-    EXPECT_EQ(sc0.macro_cycles, ac.macro_cycles);
   }
 
   const SimCounters& sc = scalar.counters();
@@ -178,11 +139,10 @@ void diff_at_width(const DiffCase& c, std::size_t width, Rng& rng,
 void run_diff_round(std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const DiffCase c = random_case(seed);
-  const auto aot_art = threaded_artifact(c);
   Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
   // Fixed word-boundary stress widths plus a random one per round.
   const std::size_t widths[] = {1, 63, 64, 65, 2 + rng.next_below(250)};
-  for (const std::size_t w : widths) diff_at_width(c, w, rng, aot_art);
+  for (const std::size_t w : widths) diff_at_width(c, w, rng);
 }
 
 TEST(SimdDiff, FuzzSeed1) { run_diff_round(21); }
@@ -202,10 +162,9 @@ TEST(SimdDiff, FeedbackPathPrograms) {
   opt.lpu.n = 4;
   DiffCase c{nl, compile(nl, opt)};
   ASSERT_GT(c.res.report.bands, 1u) << "case no longer exercises feedback";
-  const auto aot_art = threaded_artifact(c);
   Rng rng(32);
   for (const std::size_t w : {1u, 64u, 65u, 200u}) {
-    diff_at_width(c, w, rng, aot_art);
+    diff_at_width(c, w, rng);
   }
 }
 
