@@ -5,7 +5,10 @@
 //
 // One generator thread pushes every request through the alias ("jsc@prod")
 // while the main thread runs the rollout script against it mid-stream:
-// publish v1, stage v2 at 0%, open the split to 25%, then flip to 100%.
+// publish v1, stage v2 at 0%, open the split to 25%, then flip to 100%. The
+// generator pauses at the 1/3 and 2/3 marks until the script has applied the
+// next stage, so each stage covers a fixed third of the requests however the
+// two threads are scheduled.
 // v1 and v2 are the same zoo netlist loaded under two names, so (a) the
 // second load must dedup in the program cache (versions share compiled
 // programs), and (b) a SINGLE-version scalar simulation is the oracle for
@@ -13,11 +16,12 @@
 // as a missing/ready-twice/wrong-bits entry in the audit. After the flip,
 // evict_idle reaps the idle v1 while the freshly-used v2 survives.
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -90,30 +94,57 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::future<std::vector<bool>>> futs(kRequests);
-  std::atomic<std::size_t> submitted{0};
+  // Generator/script handshake: the generator publishes how many requests it
+  // has submitted and, at each stage mark, waits until the script has
+  // applied that stage.
+  std::mutex hs_mu;
+  std::condition_variable hs_cv;
+  std::size_t submitted = 0;
+  int stages_applied = 0;
+  const std::size_t marks[2] = {kRequests / 3, 2 * kRequests / 3};
   const auto t_start = SteadyClock::now();
   std::thread generator([&] {
     for (std::size_t i = 0; i < kRequests; ++i) {
+      for (int stage = 0; stage < 2; ++stage) {
+        if (i != marks[stage]) continue;
+        std::unique_lock<std::mutex> lk(hs_mu);
+        hs_cv.wait(lk, [&] { return stages_applied > stage; });
+      }
       futs[i] = table.submit("jsc@prod", pool[i % kPool]);
-      submitted.store(i + 1, std::memory_order_release);
+      {
+        std::lock_guard<std::mutex> lk(hs_mu);
+        submitted = i + 1;
+      }
+      hs_cv.notify_all();
     }
   });
+  // The script side: wait until the generator reaches a mark, then (after
+  // applying that stage) let it go on.
+  const auto reach = [&](std::size_t mark) {
+    std::unique_lock<std::mutex> lk(hs_mu);
+    hs_cv.wait(lk, [&] { return submitted >= mark; });
+  };
+  const auto applied = [&](int stages) {
+    {
+      std::lock_guard<std::mutex> lk(hs_mu);
+      stages_applied = stages;
+    }
+    hs_cv.notify_all();
+  };
 
   // The rollout script, applied mid-stream at the phase boundaries.
-  while (submitted.load(std::memory_order_acquire) < kRequests / 3) {
-    std::this_thread::yield();
-  }
+  reach(marks[0]);
   const AliasReport dark = table.report("jsc@prod");
   check(dark.to_canary == 0, "0% stage sends v2 nothing", failures);
   table.set_split("jsc@prod", 1, 3);  // 25%
   engine.set_weight(v2, 1);           // matching QoS share for the canary
+  applied(1);
 
-  while (submitted.load(std::memory_order_acquire) < 2 * kRequests / 3) {
-    std::this_thread::yield();
-  }
+  reach(marks[1]);
   const AliasReport staged = table.report("jsc@prod");
   const auto t_flip = SteadyClock::now();
   const ModelHandle old = table.flip("jsc@prod");  // 100%
+  applied(2);
   check(old.name() == "jsc_v1", "flip returns the old primary", failures);
   check(table.resolve("jsc@prod").name() == "jsc_v2", "alias repointed",
         failures);

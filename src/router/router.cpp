@@ -14,9 +14,7 @@ namespace lbnn::router {
 using runtime::Engine;
 using runtime::ModelHandle;
 using runtime::ModelProbe;
-using runtime::ModelReport;
-using runtime::PhaseStats;
-using runtime::ServeReport;
+using runtime::LedgerSnapshot;
 using runtime::SubmitStatus;
 using runtime::TimePoint;
 
@@ -31,50 +29,12 @@ struct ShardWindow {
   std::uint64_t completed = 0;
 };
 
-const ModelReport* find_model_row(const ServeReport& report,
-                                  const std::string& name) {
-  for (const ModelReport& m : report.per_model) {
-    if (m.name == name) return &m;
+const runtime::ServeLedger* find_ledger(const LedgerSnapshot& snap,
+                                        const std::string& name) {
+  for (const runtime::ModelLedger& m : snap.models) {
+    if (m.name == name) return &m.ledger;
   }
   return nullptr;
-}
-
-void merge_phase(PhaseStats& into, const PhaseStats& from) {
-  into.p50_us = std::max(into.p50_us, from.p50_us);
-  into.p99_us = std::max(into.p99_us, from.p99_us);
-  into.count += from.count;
-}
-
-void merge_phases(runtime::PhaseBreakdown& into,
-                  const runtime::PhaseBreakdown& from) {
-  merge_phase(into.assembly_wait, from.assembly_wait);
-  merge_phase(into.queue_wait, from.queue_wait);
-  merge_phase(into.execution, from.execution);
-  merge_phase(into.finalize, from.finalize);
-}
-
-void merge_model_row(ModelReport& into, const ModelReport& from) {
-  into.requests += from.requests;
-  into.batches += from.batches;
-  into.samples += from.samples;
-  into.lanes_offered += from.lanes_offered;
-  into.lane_occupancy =
-      into.lanes_offered == 0
-          ? 0.0
-          : static_cast<double>(into.samples) / into.lanes_offered;
-  into.p50_latency_us = std::max(into.p50_latency_us, from.p50_latency_us);
-  into.p99_latency_us = std::max(into.p99_latency_us, from.p99_latency_us);
-  into.queue_depth_hwm = std::max(into.queue_depth_hwm, from.queue_depth_hwm);
-  into.shed += from.shed;
-  into.expired += from.expired;
-  into.deadline_met += from.deadline_met;
-  into.goodput_per_sec += from.goodput_per_sec;
-  into.member_runs += from.member_runs;
-  into.steals += from.steals;
-  into.hedges_launched += from.hedges_launched;
-  into.hedge_wins += from.hedge_wins;
-  into.hedge_wasted_us += from.hedge_wasted_us;
-  merge_phases(into.phases, from.phases);
 }
 
 }  // namespace
@@ -510,16 +470,16 @@ void Router::tick() {
           .count());
   last_tick_ = now;
 
-  std::vector<ServeReport> reports;
-  reports.reserve(shards_.size());
-  for (const auto& s : shards_) reports.push_back(s->report());
+  std::vector<LedgerSnapshot> ledgers;
+  ledgers.reserve(shards_.size());
+  for (const auto& s : shards_) ledgers.push_back(s->ledgers());
 
   std::vector<std::shared_ptr<RoutedModel>> models;
   {
     std::lock_guard<std::mutex> lk(models_mu_);
     models = models_;
   }
-  for (const auto& model : models) tick_model(model, reports, window_us);
+  for (const auto& model : models) tick_model(model, ledgers, window_us);
 
   {
     std::lock_guard<std::mutex> lk(ticks_mu_);
@@ -529,7 +489,7 @@ void Router::tick() {
 }
 
 void Router::tick_model(const std::shared_ptr<RoutedModel>& model,
-                        const std::vector<ServeReport>& reports,
+                        const std::vector<LedgerSnapshot>& ledgers,
                         std::uint64_t window_us) {
   if (!model->loaded.load(std::memory_order_acquire)) return;
 
@@ -541,13 +501,14 @@ void Router::tick_model(const std::shared_ptr<RoutedModel>& model,
     std::lock_guard<std::mutex> lk(model->mu);
     std::uint64_t shed_delta = 0, done_delta = 0, max_ewma_us = 0;
     for (const Replica& r : model->replicas) {
-      const ModelReport* row = find_model_row(reports[r.shard], model->name);
+      const runtime::ServeLedger* row =
+          find_ledger(ledgers[r.shard], model->name);
       ShardWindow& prev = model->window[r.shard];
       if (row != nullptr) {
-        shed_delta += row->shed - std::min(prev.shed, row->shed);
-        done_delta += row->requests - std::min(prev.completed, row->requests);
-        prev.shed = row->shed;
-        prev.completed = row->requests;
+        shed_delta += row->shed() - std::min(prev.shed, row->shed());
+        done_delta += row->requests() - std::min(prev.completed, row->requests());
+        prev.shed = row->shed();
+        prev.completed = row->requests();
       }
       max_ewma_us = std::max(max_ewma_us,
                              shards_[r.shard]->probe(r.handle).ewma_item_us);
@@ -620,60 +581,13 @@ void Router::shutdown() {
 FleetReport Router::report() const {
   FleetReport fleet;
   fleet.per_shard.reserve(shards_.size());
-  for (const auto& s : shards_) fleet.per_shard.push_back(s->report());
-
-  ServeReport& t = fleet.total;
-  std::map<std::string, std::size_t> model_index;
-  double util_weight = 0.0;
-  for (const ServeReport& r : fleet.per_shard) {
-    t.requests += r.requests;
-    t.batches += r.batches;
-    t.samples += r.samples;
-    t.lanes_offered += r.lanes_offered;
-    t.p50_latency_us = std::max(t.p50_latency_us, r.p50_latency_us);
-    t.p99_latency_us = std::max(t.p99_latency_us, r.p99_latency_us);
-    t.wall_seconds = std::max(t.wall_seconds, r.wall_seconds);
-    t.requests_per_sec += r.requests_per_sec;
-    t.goodput_per_sec += r.goodput_per_sec;
-    t.shed += r.shed;
-    t.expired += r.expired;
-    t.deadline_met += r.deadline_met;
-    t.member_runs += r.member_runs;
-    t.steals += r.steals;
-    t.hedges_launched += r.hedges_launched;
-    t.hedge_wins += r.hedge_wins;
-    t.hedge_wasted_us += r.hedge_wasted_us;
-    t.member_p50_us = std::max(t.member_p50_us, r.member_p50_us);
-    t.member_p99_us = std::max(t.member_p99_us, r.member_p99_us);
-    t.straggler_gap_p50_us =
-        std::max(t.straggler_gap_p50_us, r.straggler_gap_p50_us);
-    t.straggler_gap_p99_us =
-        std::max(t.straggler_gap_p99_us, r.straggler_gap_p99_us);
-    merge_phases(t.phases, r.phases);
-    t.sim.wavefronts += r.sim.wavefronts;
-    t.sim.macro_cycles += r.sim.macro_cycles;
-    t.sim.clock_cycles += r.sim.clock_cycles;
-    t.sim.lpe_computes += r.sim.lpe_computes;
-    t.sim.route_writes += r.sim.route_writes;
-    t.sim.input_reads += r.sim.input_reads;
-    t.sim.feedback_words += r.sim.feedback_words;
-    util_weight += r.sim.lpe_utilization * static_cast<double>(r.sim.wavefronts);
-    for (const ModelReport& m : r.per_model) {
-      auto [it, inserted] = model_index.emplace(m.name, t.per_model.size());
-      if (inserted) {
-        t.per_model.push_back(m);
-      } else {
-        merge_model_row(t.per_model[it->second], m);
-      }
-    }
+  LedgerSnapshot merged;
+  for (const auto& s : shards_) {
+    const LedgerSnapshot snap = s->ledgers();
+    fleet.per_shard.push_back(runtime::to_report(snap));
+    merged.merge(snap);
   }
-  t.lane_occupancy = t.lanes_offered == 0
-                         ? 0.0
-                         : static_cast<double>(t.samples) / t.lanes_offered;
-  t.sim.lpe_utilization =
-      t.sim.wavefronts == 0
-          ? 0.0
-          : util_weight / static_cast<double>(t.sim.wavefronts);
+  fleet.total = runtime::to_report(merged);
   return fleet;
 }
 

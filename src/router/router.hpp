@@ -19,12 +19,11 @@
 namespace lbnn::router {
 
 /// Fleet-level serving view: every shard's ServeReport plus their aggregate.
-/// Counters in `total` are sums across shards; latency percentiles are the
-/// MAX across shards (conservative — the fleet p99 is at least the worst
-/// shard's p99, and log2-bucketed per-shard percentiles cannot be re-merged
-/// exactly); rates (requests_per_sec, goodput_per_sec) are sums and
-/// wall_seconds is the max. total.per_model merges same-named rows across
-/// shards with the same rules, so a replicated model reads as one row.
+/// `total` is rendered from the shards' ledgers merged by model name (see
+/// runtime::LedgerSnapshot::merge): counters are sums, latency percentiles
+/// are exact percentiles of the merged histograms (not the worst shard's),
+/// wall_seconds is the longest shard window and rates are merged counts over
+/// it. A replicated model reads as one total.per_model row.
 struct FleetReport {
   runtime::ServeReport total;
   std::vector<runtime::ServeReport> per_shard;  ///< index = shard id
@@ -112,10 +111,9 @@ class RoutedHandle {
 /// whose demand fits one fewer replica (retire_headroom) loses its
 /// least-loaded replica, drained without dropping anything.
 ///
-/// Observability: report() aggregates per-shard ServeReports into a
-/// FleetReport; metrics_prometheus() tags every series with shard="<id>";
-/// export_trace() renders all shards into one Chrome trace, one process per
-/// shard.
+/// Observability: report() merges the shards' ledgers into a FleetReport;
+/// metrics_prometheus() tags every series with shard="<id>"; export_trace()
+/// renders all shards into one Chrome trace, one process per shard.
 ///
 /// Thread-safety: every public method may be called from any thread.
 class Router {
@@ -235,7 +233,7 @@ class Router {
   void rebalance_loop(runtime::TimePoint next);
   void tick();
   void tick_model(const std::shared_ptr<RoutedModel>& model,
-                  const std::vector<runtime::ServeReport>& reports,
+                  const std::vector<runtime::LedgerSnapshot>& ledgers,
                   std::uint64_t window_us);
 
   RouterOptions options_;

@@ -16,9 +16,10 @@ using Duration = std::chrono::steady_clock::duration;
 constexpr TimePoint kNoDeadline = TimePoint::max();
 
 /// Time source seam for the serving runtime. Everything that stamps, compares
-/// or sleeps on time (Batcher deadlines, Engine admission estimates, ServeStats
-/// latency/goodput, the timekeeper thread) goes through one of these, so tests
-/// can drive a ManualClock instead of sleeping on the wall clock.
+/// or sleeps on time (Batcher deadlines, Engine admission estimates, the stats
+/// window behind rates and goodput, the timekeeper thread) goes through one of
+/// these, so tests can drive a ManualClock instead of sleeping on the wall
+/// clock.
 ///
 /// Implementations must be safe to call from any thread.
 class ClockSource {

@@ -110,7 +110,7 @@ struct Engine::BatchWork {
   std::vector<MemberSlot> slots;  ///< one per assembly member (from the batcher)
   std::vector<BitVec> inputs;   ///< packed PIs, width == requests.size()
   std::vector<BitVec> outputs;  ///< original PO order
-  std::uint64_t seq = 0;        ///< global enqueue order, for kGlobalFifo
+  std::uint64_t seq = 0;        ///< global enqueue order: the batch's trace id
   /// Phase-decomposition stamps (us by the engine clock). sealed_at_us is
   /// written by the sealing thread before the batch enters the ready queue;
   /// dispatched_at_us by the popping worker inside the scheduler critical
@@ -179,7 +179,13 @@ struct ModelState {
   // but it is only WRITTEN under mu (the cv's lost-wakeup rule).
   std::mutex mu;
   std::condition_variable cv;
-  std::size_t outstanding = 0;  ///< accepted, not yet answered
+  /// Accepted requests whose futures have not started to resolve. A request
+  /// leaves it just BEFORE its future resolves (see begin_settle), so a
+  /// client woken from get() never sees its own request as outstanding.
+  std::size_t outstanding = 0;
+  /// Settle passes (finalize, expiry) between leaving `outstanding` and
+  /// having resolved every future they took; unload() waits for 0.
+  std::size_t settling = 0;
   std::atomic<bool> accepting{true};
 
   // Scheduler plane — guarded by the engine's queue_mu. `ready` holds whole
@@ -204,10 +210,41 @@ struct ModelState {
 
   std::atomic<std::int64_t> last_used_us{0};  ///< admission time, for evict_idle
 
-  ModelStats stats;
+  /// This model's stats ledger, the only place its serving events are
+  /// recorded (see Engine::record). unload() folds it into
+  /// Impl::retired_stats and sets `folded`; an event that arrives later (a
+  /// losing hedge copy finishing after the drain) is booked there instead.
+  /// Lock order: mu, queue_mu and models_mu may each be held when stats_mu
+  /// is taken; nothing is taken under stats_mu.
+  std::mutex stats_mu;
+  ServeLedger stats;
+  bool folded = false;  ///< guarded by stats_mu
 };
 
 namespace {
+
+/// Move `n` requests out of `outstanding` just before their futures resolve:
+/// admission slots free up now, and unload() keeps waiting (on `settling`)
+/// until end_settle().
+void begin_settle(ModelState& m, std::size_t n) {
+  {
+    std::lock_guard<std::mutex> lk(m.mu);
+    m.outstanding -= n;
+    ++m.settling;
+  }
+  m.cv.notify_all();
+}
+
+void end_settle(ModelState& m) {
+  bool unloading = false;
+  {
+    std::lock_guard<std::mutex> lk(m.mu);
+    --m.settling;
+    unloading = !m.accepting.load();
+  }
+  // Only an unload waits on `settling`; admission waiters need no wakeup.
+  if (unloading) m.cv.notify_all();
+}
 
 const ModelState& deref(const std::shared_ptr<ModelState>& state) {
   if (!state) throw Error("empty model handle");
@@ -234,16 +271,19 @@ struct Engine::Impl {
   /// Unloaded models' full stats history, folded in by unload() so the
   /// "(retired)" report row (and metrics spanning a version flip) keep what
   /// the registry erase would otherwise lose. retired_models counts the
-  /// folds; both guarded by models_mu (ModelStats has its own lock, but the
-  /// pair must read consistently in report()).
-  ModelStats retired_stats;
+  /// folds. Guarded by models_mu, like the registry, so ledgers() reads the
+  /// live and retired ledgers in one consistent cut.
+  ServeLedger retired_stats;
   std::uint64_t retired_models = 0;
+  /// Origin of the stats window (construction or the last reset_stats());
+  /// guarded by models_mu.
+  TimePoint stats_start;
 
   /// Trace request-id allocator (monotonic, 1-based so 0 reads "untraced").
   std::atomic<std::uint64_t> next_req_id{1};
 
   /// Scheduler: models with a non-empty ready deque. Workers pick the lowest
-  /// pass (weighted-fair) or the oldest front batch (global FIFO).
+  /// pass (weighted-fair stride scheduling).
   std::mutex queue_mu;
   std::condition_variable queue_cv;
   std::vector<ModelState*> ready_models;
@@ -311,8 +351,8 @@ Engine::Engine(const EngineOptions& options)
       clock_(options.clock != nullptr ? options.clock
                                       : &SystemClock::instance()),
       cache_(options.cache_capacity),
-      stats_(clock_),
       impl_(new Impl) {
+  impl_->stats_start = clock_->now();
   std::uint32_t workers = options_.num_workers;
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
@@ -345,6 +385,19 @@ Engine::Engine(const EngineOptions& options)
 }
 
 Engine::~Engine() { shutdown(); }
+
+template <typename F>
+void Engine::record(ModelState& m, F&& f) {
+  {
+    std::lock_guard<std::mutex> lk(m.stats_mu);
+    if (!m.folded) {
+      f(m.stats);
+      return;
+    }
+  }
+  std::lock_guard<std::mutex> lk(impl_->models_mu);
+  f(impl_->retired_stats);
+}
 
 void Engine::emit_trace(std::size_t track, TraceEventType type,
                         std::uint64_t model_id, std::uint64_t id,
@@ -538,8 +591,7 @@ std::future<std::vector<bool>> Engine::submit(const ModelHandle& model,
     std::unique_lock<std::mutex> lk(m->mu);
     const auto shed = [&]() -> void {
       lk.unlock();
-      stats_.on_shed();
-      m->stats.on_shed();
+      record(*m, [](ServeLedger& l) { l.record_shed(); });
       emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
       release_requests(1);
       throw DeadlineExceeded("model '" + m->name +
@@ -639,8 +691,7 @@ SubmitStatus Engine::try_submit(const ModelHandle& model,
       return SubmitStatus::kUnloaded;
     }
     if (shed_check(*m, deadline, now, workers_.size())) {
-      stats_.on_shed();
-      m->stats.on_shed();
+      record(*m, [](ServeLedger& l) { l.record_shed(); });
       emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
       release_requests(1);
       return SubmitStatus::kDeadlineUnmeetable;
@@ -665,18 +716,19 @@ bool Engine::unload(const ModelHandle& model) {
   }
   m->cv.notify_all();  // blocked submitters observe !accepting and bail
   // Drain the model's outstanding requests: every accepted future resolves
-  // before the model leaves the registry. The flush runs in a short poll loop
-  // because a submitter that won admission just before the flag flipped may
-  // append to a NEW open batch after a single flush (and the engine-wide
-  // batch timeout may be arbitrarily long).
+  // before the model leaves the registry (`settling` covers futures that
+  // have left `outstanding` but are still being resolved). The flush runs in
+  // a short poll loop because a submitter that won admission just before the
+  // flag flipped may append to a NEW open batch after a single flush (and
+  // the engine-wide batch timeout may be arbitrarily long).
   {
     std::unique_lock<std::mutex> lk(m->mu);
-    while (m->outstanding != 0) {
+    const auto drained = [&] { return m->outstanding == 0 && m->settling == 0; };
+    while (!drained()) {
       lk.unlock();
       m->batcher->flush();
       lk.lock();
-      m->cv.wait_for(lk, std::chrono::milliseconds(1),
-                     [&] { return m->outstanding == 0; });
+      m->cv.wait_for(lk, std::chrono::milliseconds(1), drained);
     }
   }
   // Retire the model's programs so workers drop their cached simulators for
@@ -692,9 +744,13 @@ bool Engine::unload(const ModelHandle& model) {
   {
     std::lock_guard<std::mutex> lk(impl_->models_mu);
     // Fold the model's full stats history into the persistent retired
-    // aggregate BEFORE the registry erase: report() reads the pair under the
+    // aggregate BEFORE the registry erase: ledgers() reads the pair under the
     // same lock, so no snapshot can see the row gone but the fold missing.
-    impl_->retired_stats.merge_from(m->stats);
+    {
+      std::lock_guard<std::mutex> slk(m->stats_mu);
+      impl_->retired_stats.merge(m->stats);
+      m->folded = true;
+    }
     ++impl_->retired_models;
     impl_->registry.erase(m->id);
     // Release the cache's pin on this model's program — unless another loaded
@@ -801,7 +857,7 @@ void Engine::enqueue_batch(ModelState& model, Batch&& batch) {
     }
     const std::size_t depth =
         model.queued_items.fetch_add(items, std::memory_order_relaxed) + items;
-    model.stats.on_queue_depth(depth);
+    record(model, [depth](ServeLedger& l) { l.record_queue_depth(depth); });
     emit_trace(Tracer::kSharedTrack, TraceEventType::kEnqueue, model.id,
                impl_->next_seq - 1, 0, depth);
   }
@@ -924,8 +980,6 @@ bool Engine::try_steal_locked(std::shared_ptr<BatchWork>* work,
 void Engine::worker_loop(std::size_t track) {
   WorkerContext ctx;
   ctx.track = track;
-  const bool fifo =
-      options_.scheduling == EngineOptions::Scheduling::kGlobalFifo;
   for (;;) {
     std::shared_ptr<BatchWork> work;
     std::size_t stolen_member = 0;
@@ -946,12 +1000,9 @@ void Engine::worker_loop(std::size_t track) {
           if (!impl_->hedgeable.empty()) prune_hedgeable_locked();
           std::size_t best = 0;
           for (std::size_t i = 1; i < impl_->ready_models.size(); ++i) {
-            const ModelState* a = impl_->ready_models[i];
-            const ModelState* b = impl_->ready_models[best];
-            const bool better = fifo
-                                    ? a->ready.front()->seq < b->ready.front()->seq
-                                    : a->pass < b->pass;
-            if (better) best = i;
+            if (impl_->ready_models[i]->pass < impl_->ready_models[best]->pass) {
+              best = i;
+            }
           }
           ModelState* m = impl_->ready_models[best];
           work = std::move(m->ready.front());
@@ -1099,8 +1150,7 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
   } else {
     // The hedge ledger records the launch before the hook runs, so a test
     // gating the duplicate still observes hedges_launched == 1.
-    stats_.on_hedge_launched();
-    work.model->stats.on_hedge_launched();
+    record(*work.model, [](ServeLedger& l) { l.record_hedge_launch(); });
     emit_trace(ctx.track, TraceEventType::kHedgeLaunch, work.model->id, work.seq,
                static_cast<std::uint32_t>(member_index), 0, kTraceFlagHedge);
   }
@@ -1145,7 +1195,7 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
         resolved = true;
         // Tell the other copy (if one is running) its result is moot.
         slot.cancel.store(true);
-        stats_.on_sim_run(sim->counters());
+        slot.sim = sim->counters();
         slot.ran = true;
         slot.stolen = stolen;
         slot.hedge_won = hedge;
@@ -1205,8 +1255,8 @@ void Engine::run_member(BatchWork& work, std::size_t member_index, bool stolen,
     // Hedge loser — duplicate or original: the winner already wrote the
     // slot and will drive (or drove) finalize. Account the discarded work
     // and walk away; double-resolving the promises is impossible from here.
-    stats_.on_hedge_waste(wasted_us);
-    work.model->stats.on_hedge_waste(wasted_us);
+    record(*work.model,
+           [wasted_us](ServeLedger& l) { l.record_hedge_waste(wasted_us); });
     emit_trace(ctx.track, TraceEventType::kHedgeCancel, work.model->id, work.seq,
                static_cast<std::uint32_t>(member_index), wasted_us,
                hedge ? kTraceFlagHedge : std::uint8_t{0});
@@ -1255,41 +1305,75 @@ bool Engine::drop_expired_requests(BatchWork& work, std::size_t track) {
   // Counters BEFORE the promises fail (the same rule finalize() follows): a
   // client that wakes from get() with DeadlineExceeded and immediately calls
   // report() must see its request in `expired`.
-  stats_.on_expired(expired);
-  work.model->stats.on_expired(expired);
-  emit_trace(track, TraceEventType::kExpire, work.model->id, work.seq, 0,
-             expired);
+  ModelState& m = *work.model;
+  record(m, [expired](ServeLedger& l) { l.record_expired(expired); });
+  emit_trace(track, TraceEventType::kExpire, m.id, work.seq, 0, expired);
+  begin_settle(m, expired);
   for (auto& req : work.requests) {
     if (!req.expired) continue;
-    emit_trace(track, TraceEventType::kRequestDone, work.model->id, req.id, 0, 0,
+    emit_trace(track, TraceEventType::kRequestDone, m.id, req.id, 0, 0,
                kTraceFlagExpired);
     req.result.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "request expired in '" + work.model->name + "' queue before dispatch")));
+        "request expired in '" + m.name + "' queue before dispatch")));
   }
+  end_settle(m);
   return expired != work.requests.size();
 }
 
 void Engine::finalize(BatchWork& work, std::size_t track) {
   ModelState& m = *work.model;
   const TimePoint now = clock_->now();
+  const bool failed = work.failed.load();
   // Requests the dequeue-time expiry pass already failed are settled; only
   // the live remainder gets values/errors and latency accounting here.
   std::size_t live = 0;
   for (const auto& req : work.requests) {
     if (!req.expired) ++live;
   }
-  // Stats are recorded BEFORE any future resolves: a client that wakes from
-  // .get() and immediately calls report() must see its request counted.
-  // Member slots are complete here — every runner's writes are ordered
-  // before this point by the members_left decrement chain.
-  stats_.on_members_done(work.slots);
-  m.stats.on_members_done(work.slots);
+  // The batch's ledger entry. A failed batch ran (and wasted its lanes) but
+  // produced no samples; a batch whose requests all expired at dequeue never
+  // ran, so its lanes were reclaimed and it books no batch at all.
+  BatchRecord rec;
+  if (failed || live > 0) rec.lane_capacity = m.batcher->lane_capacity();
+  if (!failed && live > 0) {
+    // Phase decomposition from the batch's lifecycle stamps — the same
+    // transitions the trace stream records. Execution ends at the LAST
+    // member's completion stamp; everything is clamped at 0 (a ManualClock
+    // that never advanced yields all-zero phases, not underflow).
+    std::int64_t exec_done_us = work.dispatched_at_us;
+    for (const MemberSlot& slot : work.slots) {
+      if (slot.ran && slot.done_at_us > exec_done_us) {
+        exec_done_us = slot.done_at_us;
+      }
+    }
+    const auto clamp_us = [](std::int64_t v) -> std::uint64_t {
+      return v > 0 ? static_cast<std::uint64_t>(v) : 0;
+    };
+    rec.latencies_us.reserve(live);
+    rec.assembly_us.reserve(live);
+    for (const auto& req : work.requests) {
+      if (req.expired) continue;
+      rec.latencies_us.push_back(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(now - req.enqueued)
+              .count()));
+      rec.assembly_us.push_back(clamp_us(work.sealed_at_us - to_us(req.enqueued)));
+      // A deadline-less completion is always good work; a deadlined one only
+      // counts toward goodput when it finished in time.
+      if (req.deadline == kNoDeadline || now <= req.deadline) ++rec.deadline_met;
+    }
+    rec.queue_wait_us = clamp_us(work.dispatched_at_us - work.sealed_at_us);
+    rec.execution_us = clamp_us(exec_done_us - work.dispatched_at_us);
+    rec.finalize_us = clamp_us(to_us(now) - exec_done_us);
+  }
+  // Recorded BEFORE any future resolves: a client that wakes from .get() and
+  // immediately calls report() must see its request counted. Member slots
+  // are complete here — every runner's writes are ordered before this point
+  // by the members_left decrement chain.
+  record(m, [&](ServeLedger& l) { l.record_batch(work.slots, rec); });
   emit_trace(track, TraceEventType::kFinalize, m.id, work.seq, 0, live,
-             work.failed.load() ? kTraceFlagFailed : std::uint8_t{0});
-  if (work.failed.load()) {
-    // The batch ran (and wasted its lanes) but produced no samples.
-    stats_.on_batch(0, m.batcher->lane_capacity());
-    m.stats.on_batch(0, m.batcher->lane_capacity());
+             failed ? kTraceFlagFailed : std::uint8_t{0});
+  begin_settle(m, live);
+  if (failed) {
     for (auto& req : work.requests) {
       if (req.expired) continue;
       emit_trace(track, TraceEventType::kRequestDone, m.id, req.id, 0, 0,
@@ -1298,69 +1382,17 @@ void Engine::finalize(BatchWork& work, std::size_t track) {
           std::make_exception_ptr(Error("batch failed: " + work.error)));
     }
   } else if (live > 0) {
-    std::vector<std::uint64_t> latencies;
-    latencies.reserve(live);
-    std::uint64_t met = 0;
-    for (const auto& req : work.requests) {
-      if (req.expired) continue;
-      const auto latency =
-          std::chrono::duration_cast<std::chrono::microseconds>(now - req.enqueued);
-      latencies.push_back(static_cast<std::uint64_t>(latency.count()));
-      // A deadline-less completion is always good work; a deadlined one only
-      // counts toward goodput when it finished in time.
-      if (req.deadline == kNoDeadline || now <= req.deadline) ++met;
-    }
-    stats_.on_requests_done(latencies, met);
-    m.stats.on_requests_done(latencies, met);
-    stats_.on_batch(live, m.batcher->lane_capacity());
-    m.stats.on_batch(live, m.batcher->lane_capacity());
-    // Phase decomposition from the batch's lifecycle stamps — the same
-    // transitions the trace stream records. Execution ends at the LAST
-    // member's completion stamp; everything is clamped at 0 (a ManualClock
-    // that never advanced yields all-zero phases, not underflow).
-    {
-      std::int64_t exec_done_us = work.dispatched_at_us;
-      for (const MemberSlot& slot : work.slots) {
-        if (slot.ran && slot.done_at_us > exec_done_us) {
-          exec_done_us = slot.done_at_us;
-        }
-      }
-      const auto clamp_us = [](std::int64_t v) -> std::uint64_t {
-        return v > 0 ? static_cast<std::uint64_t>(v) : 0;
-      };
-      std::vector<std::uint64_t> assembly;
-      assembly.reserve(live);
-      for (const auto& req : work.requests) {
-        if (req.expired) continue;
-        assembly.push_back(clamp_us(work.sealed_at_us - to_us(req.enqueued)));
-      }
-      const std::uint64_t queue_wait =
-          clamp_us(work.dispatched_at_us - work.sealed_at_us);
-      const std::uint64_t execution =
-          clamp_us(exec_done_us - work.dispatched_at_us);
-      const std::uint64_t settle = clamp_us(to_us(now) - exec_done_us);
-      stats_.on_phases(assembly, queue_wait, execution, settle);
-      m.stats.on_phases(assembly, queue_wait, execution, settle);
-    }
     auto per_request = unpack_outputs(work.outputs, work.requests.size());
+    std::size_t k = 0;
     for (std::size_t i = 0; i < work.requests.size(); ++i) {
       if (work.requests[i].expired) continue;
-      const auto latency = std::chrono::duration_cast<std::chrono::microseconds>(
-          now - work.requests[i].enqueued);
       emit_trace(track, TraceEventType::kRequestDone, m.id, work.requests[i].id,
-                 0, static_cast<std::uint64_t>(latency.count()));
+                 0, rec.latencies_us[k++]);
       work.requests[i].result.set_value(std::move(per_request[i]));
     }
   }
-  // live == 0 && !failed: the whole batch expired at dequeue and the
-  // simulator never ran — no batch/lane accounting, the lanes were reclaimed.
-  const std::size_t n = work.requests.size();
-  {
-    std::lock_guard<std::mutex> lk(m.mu);
-    m.outstanding -= n;
-  }
-  m.cv.notify_all();  // free admission slots (backpressure) and unload waits
-  release_requests(n);
+  end_settle(m);
+  release_requests(work.requests.size());
 }
 
 void Engine::release_requests(std::size_t n) {
@@ -1436,44 +1468,46 @@ void Engine::set_evict_hook(std::function<void(const std::string&)> hook) {
   }
 }
 
-ServeReport Engine::report() const {
-  ServeReport r = stats_.report();
-  for (const auto& m : model_snapshot()) {
-    ModelReport mr = m->stats.report();
-    mr.name = m->name;
-    mr.weight = m->weight.load();
-    mr.queue_bound = m->queue_bound;
-    // Per-model goodput shares the engine-wide wall clock (models load at
-    // different times, but one common denominator keeps rows comparable).
-    mr.goodput_per_sec =
-        r.wall_seconds > 0.0
-            ? static_cast<double>(mr.deadline_met) / r.wall_seconds
-            : 0.0;
-    r.per_model.push_back(std::move(mr));
+LedgerSnapshot Engine::ledgers() const {
+  LedgerSnapshot snap;
+  std::lock_guard<std::mutex> lk(impl_->models_mu);
+  snap.wall_seconds =
+      std::chrono::duration<double>(clock_->now() - impl_->stats_start).count();
+  snap.models.reserve(impl_->registry.size() + 1);
+  for (const auto& [id, m] : impl_->registry) {
+    ModelLedger row;
+    row.name = m->name;
+    row.weight = m->weight.load();
+    row.queue_bound = m->queue_bound;
+    {
+      std::lock_guard<std::mutex> slk(m->stats_mu);
+      row.ledger = m->stats;
+    }
+    snap.models.push_back(std::move(row));
   }
   // Unloaded models fold into one persistent row instead of vanishing: the
   // aggregate of every unload()ed model's full history, under a name no real
-  // model can shadow.
-  bool has_retired = false;
-  ModelReport retired;
-  {
-    std::lock_guard<std::mutex> lk(impl_->models_mu);
-    if (impl_->retired_models > 0) {
-      has_retired = true;
-      retired = impl_->retired_stats.report();
-    }
+  // model can shadow, with no scheduler share or admission plane.
+  if (impl_->retired_models > 0) {
+    ModelLedger row;
+    row.name = "(retired)";
+    row.weight = 0;
+    row.ledger = impl_->retired_stats;
+    snap.models.push_back(std::move(row));
   }
-  if (has_retired) {
-    retired.name = "(retired)";
-    retired.weight = 0;       // no scheduler share — these models are gone
-    retired.queue_bound = 0;  // no admission plane either
-    retired.goodput_per_sec =
-        r.wall_seconds > 0.0
-            ? static_cast<double>(retired.deadline_met) / r.wall_seconds
-            : 0.0;
-    r.per_model.push_back(std::move(retired));
+  return snap;
+}
+
+ServeReport Engine::report() const { return to_report(ledgers()); }
+
+void Engine::reset_stats() {
+  std::lock_guard<std::mutex> lk(impl_->models_mu);
+  for (const auto& [id, m] : impl_->registry) {
+    std::lock_guard<std::mutex> slk(m->stats_mu);
+    m->stats = ServeLedger{};
   }
-  return r;
+  impl_->retired_stats = ServeLedger{};
+  impl_->stats_start = clock_->now();
 }
 
 void Engine::export_trace(std::ostream& os) {

@@ -117,16 +117,6 @@ struct EngineOptions {
   std::size_t cache_capacity = 16;
   /// Compile flow configuration for every load call.
   CompileOptions compile;
-  /// How workers pick among models with queued work.
-  enum class Scheduling : std::uint8_t {
-    /// Stride scheduling over ModelOptions::weight: backlogged heavy models
-    /// cannot starve light ones (the v2 default).
-    kWeightedFair,
-    /// Oldest sealed batch first across all models — the PR 1 single global
-    /// ready queue, kept as the fairness baseline (see bench/serve_fairness).
-    kGlobalFifo,
-  };
-  Scheduling scheduling = Scheduling::kWeightedFair;
   /// Member-level work stealing: the worker that dequeues a batch claims its
   /// assembly members one at a time from an atomic cursor, and idle workers
   /// steal the remaining members before sleeping — a slow member no longer
@@ -289,15 +279,23 @@ class Engine {
   /// calls it.
   void shutdown();
 
+  /// Every model's stats ledger — the loaded models in load order, then the
+  /// "(retired)" aggregate once any model was unloaded — and the wall-clock
+  /// window they cover, read in one cut (a concurrent unload() is counted
+  /// exactly once). The Router merges these across shards.
+  LedgerSnapshot ledgers() const;
+
+  /// to_report(ledgers()): the totals are the merge of the per_model rows.
   ServeReport report() const;
 
-  /// Reset the aggregate serving statistics (counters, histograms, exact
-  /// member samples, and the wall-clock origin of requests_per_sec).
-  /// Per-model statistics keep counting. Benches call this after warmup so
+  /// Clear every ledger — each loaded model's and the retired aggregate:
+  /// counters, histograms, exact member samples, queue-depth high-water
+  /// marks — and restart the wall-clock window, so the per-model rows and
+  /// the totals cover the same interval. Benches call this after warmup so
   /// steady-state percentiles are not polluted by one-time construction
   /// spikes (each worker builds its simulators lazily, inside the timed
   /// member region, on its first run of a program).
-  void reset_stats() { stats_.reset(); }
+  void reset_stats();
 
   /// Render the drained trace stream as Chrome trace-event JSON — loadable
   /// in chrome://tracing or Perfetto. One track per worker plus a "clients"
@@ -397,6 +395,11 @@ class Engine {
                                                    std::vector<bool>&& inputs,
                                                    TimePoint deadline,
                                                    std::uint64_t req_id);
+  /// Record one serving event into the model's ledger — or, once unload()
+  /// has folded that ledger, into the retired aggregate, so an event that
+  /// lands after the fold is still counted exactly once.
+  template <typename F>
+  void record(ModelState& m, F&& f);
   /// Null-check-and-emit: one call per lifecycle transition site. With
   /// tracing off this is a single branch.
   void emit_trace(std::size_t track, TraceEventType type, std::uint64_t model_id,
@@ -451,7 +454,6 @@ class Engine {
   EngineOptions options_;
   ClockSource* clock_;  ///< options_.clock or the shared SystemClock
   ProgramCache cache_;
-  ServeStats stats_;
   /// Non-null iff tracing is on (EngineOptions::tracing or
   /// LBNN_FORCE_TRACING); created before the workers spawn, destroyed after
   /// they join, so emission sites need no lifetime checks beyond null.

@@ -37,76 +37,83 @@ std::uint64_t LatencyHistogram::percentile_us(double p) const {
   return ~0ull;
 }
 
-void ModelStats::on_requests_done(const std::vector<std::uint64_t>& latencies_us,
-                                  std::uint64_t deadline_met) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : latencies_us) hist_.record(us);
-  requests_ += latencies_us.size();
-  deadline_met_ += deadline_met;
+namespace {
+
+/// Sum the counters (utilization is a weighted mean; callers track it).
+void add_counts(SimCounters& into, const SimCounters& from) {
+  into.wavefronts += from.wavefronts;
+  into.macro_cycles += from.macro_cycles;
+  into.clock_cycles += from.clock_cycles;
+  into.lpe_computes += from.lpe_computes;
+  into.route_writes += from.route_writes;
+  into.input_reads += from.input_reads;
+  into.feedback_words += from.feedback_words;
 }
 
-void ModelStats::on_batch(std::size_t samples, std::size_t lane_capacity) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++batches_;
-  samples_ += samples;
-  lanes_offered_ += lane_capacity;
+PhaseStats phase_stats(const LatencyHistogram& h) {
+  PhaseStats p;
+  p.p50_us = h.percentile_us(50.0);
+  p.p99_us = h.percentile_us(99.0);
+  p.count = h.count();
+  return p;
 }
 
-void ModelStats::on_queue_depth(std::size_t depth) {
-  std::lock_guard<std::mutex> lk(mu_);
+double per_second(std::uint64_t n, double wall_seconds) {
+  return wall_seconds > 0.0 ? static_cast<double>(n) / wall_seconds : 0.0;
+}
+
+}  // namespace
+
+void ServeLedger::record_queue_depth(std::size_t depth) {
   if (depth > queue_depth_hwm_) queue_depth_hwm_ = depth;
 }
 
-void ModelStats::on_shed() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++shed_;
-}
-
-void ModelStats::on_expired(std::size_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  expired_ += n;
-}
-
-void ModelStats::on_members_done(const std::vector<MemberSlot>& slots) {
+void ServeLedger::record_batch(const std::vector<MemberSlot>& members,
+                               const BatchRecord& batch) {
   std::uint64_t ran = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t hedge_won = 0;
-  for (const MemberSlot& slot : slots) {
+  std::int64_t first_done = 0;
+  std::int64_t last_done = 0;
+  for (const MemberSlot& slot : members) {
     if (!slot.ran) continue;
+    if (ran == 0 || slot.done_at_us < first_done) first_done = slot.done_at_us;
+    if (ran == 0 || slot.done_at_us > last_done) last_done = slot.done_at_us;
     ++ran;
-    if (slot.stolen) ++stolen;
-    if (slot.hedge_won) ++hedge_won;
+    if (slot.stolen) ++steals_;
+    if (slot.hedge_won) ++hedge_wins_;
+    member_hist_.record(slot.service_us);
+    if (member_samples_.size() < kMemberSampleCap) {
+      member_samples_.push_back(slot.service_us);
+    }
+    add_counts(sim_, slot.sim);
+    util_weight_ += slot.sim.lpe_utilization * static_cast<double>(slot.sim.wavefronts);
   }
-  if (ran == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
   member_runs_ += ran;
-  steals_ += stolen;
-  hedge_wins_ += hedge_won;
+  if (ran > 1) {
+    straggler_hist_.record(static_cast<std::uint64_t>(last_done - first_done));
+  }
+  if (batch.lane_capacity == 0) return;
+  ++batches_;
+  samples_ += batch.latencies_us.size();
+  lanes_offered_ += batch.lane_capacity;
+  if (batch.latencies_us.empty()) return;
+  for (const std::uint64_t us : batch.latencies_us) hist_.record(us);
+  requests_ += batch.latencies_us.size();
+  deadline_met_ += batch.deadline_met;
+  for (const std::uint64_t us : batch.assembly_us) assembly_hist_.record(us);
+  queue_wait_hist_.record(batch.queue_wait_us);
+  execution_hist_.record(batch.execution_us);
+  finalize_hist_.record(batch.finalize_us);
 }
 
-void ModelStats::on_hedge_launched() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++hedges_launched_;
-}
-
-void ModelStats::on_hedge_waste(std::uint64_t wasted_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hedge_wasted_us_ += wasted_us;
-}
-
-void ModelStats::on_phases(const std::vector<std::uint64_t>& assembly_us,
-                           std::uint64_t queue_wait_us, std::uint64_t execution_us,
-                           std::uint64_t finalize_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : assembly_us) assembly_hist_.record(us);
-  queue_wait_hist_.record(queue_wait_us);
-  execution_hist_.record(execution_us);
-  finalize_hist_.record(finalize_us);
-}
-
-void ModelStats::merge_from(const ModelStats& other) {
-  std::scoped_lock lk(mu_, other.mu_);
+void ServeLedger::merge(const ServeLedger& other) {
   hist_.merge(other.hist_);
+  member_hist_.merge(other.member_hist_);
+  const std::size_t room = kMemberSampleCap - member_samples_.size();
+  member_samples_.insert(
+      member_samples_.end(), other.member_samples_.begin(),
+      other.member_samples_.begin() +
+          static_cast<std::ptrdiff_t>(std::min(room, other.member_samples_.size())));
+  straggler_hist_.merge(other.straggler_hist_);
   assembly_hist_.merge(other.assembly_hist_);
   queue_wait_hist_.merge(other.queue_wait_hist_);
   execution_hist_.merge(other.execution_hist_);
@@ -115,7 +122,7 @@ void ModelStats::merge_from(const ModelStats& other) {
   batches_ += other.batches_;
   samples_ += other.samples_;
   lanes_offered_ += other.lanes_offered_;
-  if (other.queue_depth_hwm_ > queue_depth_hwm_) queue_depth_hwm_ = other.queue_depth_hwm_;
+  queue_depth_hwm_ = std::max(queue_depth_hwm_, other.queue_depth_hwm_);
   shed_ += other.shed_;
   expired_ += other.expired_;
   deadline_met_ += other.deadline_met_;
@@ -124,34 +131,25 @@ void ModelStats::merge_from(const ModelStats& other) {
   hedges_launched_ += other.hedges_launched_;
   hedge_wins_ += other.hedge_wins_;
   hedge_wasted_us_ += other.hedge_wasted_us_;
+  add_counts(sim_, other.sim_);
+  util_weight_ += other.util_weight_;
 }
 
-namespace {
-PhaseStats phase_stats(const LatencyHistogram& h) {
-  PhaseStats p;
-  p.p50_us = h.percentile_us(50.0);
-  p.p99_us = h.percentile_us(99.0);
-  p.count = h.count();
-  return p;
-}
-}  // namespace
-
-ModelReport ModelStats::report() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  ModelReport r;
+template <typename Report>
+void ServeLedger::fill_shared(Report& r, double wall_seconds) const {
   r.requests = requests_;
   r.batches = batches_;
   r.samples = samples_;
   r.lanes_offered = lanes_offered_;
-  r.lane_occupancy = lanes_offered_ == 0
-                         ? 0.0
-                         : static_cast<double>(samples_) / static_cast<double>(lanes_offered_);
+  r.lane_occupancy = lanes_offered_ == 0 ? 0.0
+                                         : static_cast<double>(samples_) /
+                                               static_cast<double>(lanes_offered_);
   r.p50_latency_us = hist_.percentile_us(50.0);
   r.p99_latency_us = hist_.percentile_us(99.0);
-  r.queue_depth_hwm = queue_depth_hwm_;
   r.shed = shed_;
   r.expired = expired_;
   r.deadline_met = deadline_met_;
+  r.goodput_per_sec = per_second(deadline_met_, wall_seconds);
   r.member_runs = member_runs_;
   r.steals = steals_;
   r.hedges_launched = hedges_launched_;
@@ -161,131 +159,20 @@ ModelReport ModelStats::report() const {
   r.phases.queue_wait = phase_stats(queue_wait_hist_);
   r.phases.execution = phase_stats(execution_hist_);
   r.phases.finalize = phase_stats(finalize_hist_);
+}
+
+ModelReport ServeLedger::model_report(double wall_seconds) const {
+  ModelReport r;
+  fill_shared(r, wall_seconds);
+  r.queue_depth_hwm = queue_depth_hwm_;
   return r;
 }
 
-void ServeStats::on_request_done(std::uint64_t latency_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hist_.record(latency_us);
-  ++requests_;
-  ++deadline_met_;  // single-request path carries no deadline: always good
-}
-
-void ServeStats::on_requests_done(const std::vector<std::uint64_t>& latencies_us,
-                                  std::uint64_t deadline_met) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : latencies_us) hist_.record(us);
-  requests_ += latencies_us.size();
-  deadline_met_ += deadline_met;
-}
-
-void ServeStats::on_batch(std::size_t samples, std::size_t lane_capacity) {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++batches_;
-  samples_ += samples;
-  lanes_offered_ += lane_capacity;
-}
-
-void ServeStats::on_sim_run(const SimCounters& c) {
-  std::lock_guard<std::mutex> lk(mu_);
-  sim_.wavefronts += c.wavefronts;
-  sim_.macro_cycles += c.macro_cycles;
-  sim_.clock_cycles += c.clock_cycles;
-  sim_.lpe_computes += c.lpe_computes;
-  sim_.route_writes += c.route_writes;
-  sim_.input_reads += c.input_reads;
-  sim_.feedback_words += c.feedback_words;
-  util_weight_ += c.lpe_utilization * static_cast<double>(c.wavefronts);
-}
-
-void ServeStats::on_shed() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++shed_;
-}
-
-void ServeStats::on_expired(std::size_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  expired_ += n;
-}
-
-void ServeStats::on_members_done(const std::vector<MemberSlot>& slots) {
-  // Derive everything outside the lock; the slots are immutable here (every
-  // writer's store is ordered before finalize by the completion latch).
-  std::uint64_t ran = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t hedge_won = 0;
-  std::int64_t first_done = 0;
-  std::int64_t last_done = 0;
-  for (const MemberSlot& slot : slots) {
-    if (!slot.ran) continue;
-    if (ran == 0 || slot.done_at_us < first_done) first_done = slot.done_at_us;
-    if (ran == 0 || slot.done_at_us > last_done) last_done = slot.done_at_us;
-    ++ran;
-    if (slot.stolen) ++stolen;
-    if (slot.hedge_won) ++hedge_won;
-  }
-  if (ran == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const MemberSlot& slot : slots) {
-    if (!slot.ran) continue;
-    member_hist_.record(slot.service_us);
-    if (member_samples_.size() < kMemberSampleCap) {
-      member_samples_.push_back(slot.service_us);
-    }
-  }
-  member_runs_ += ran;
-  steals_ += stolen;
-  hedge_wins_ += hedge_won;
-  if (ran > 1) {
-    straggler_hist_.record(static_cast<std::uint64_t>(last_done - first_done));
-  }
-}
-
-void ServeStats::on_hedge_launched() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++hedges_launched_;
-}
-
-void ServeStats::on_hedge_waste(std::uint64_t wasted_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hedge_wasted_us_ += wasted_us;
-}
-
-void ServeStats::on_phases(const std::vector<std::uint64_t>& assembly_us,
-                           std::uint64_t queue_wait_us, std::uint64_t execution_us,
-                           std::uint64_t finalize_us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const std::uint64_t us : assembly_us) assembly_hist_.record(us);
-  queue_wait_hist_.record(queue_wait_us);
-  execution_hist_.record(execution_us);
-  finalize_hist_.record(finalize_us);
-}
-
-ServeReport ServeStats::report() const {
-  std::lock_guard<std::mutex> lk(mu_);
+ServeReport ServeLedger::serve_report(double wall_seconds) const {
   ServeReport r;
-  r.requests = requests_;
-  r.batches = batches_;
-  r.samples = samples_;
-  r.lanes_offered = lanes_offered_;
-  r.lane_occupancy = lanes_offered_ == 0
-                         ? 0.0
-                         : static_cast<double>(samples_) / static_cast<double>(lanes_offered_);
-  r.p50_latency_us = hist_.percentile_us(50.0);
-  r.p99_latency_us = hist_.percentile_us(99.0);
-  r.wall_seconds = std::chrono::duration<double>(clock_->now() - start_).count();
-  r.requests_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(requests_) / r.wall_seconds : 0.0;
-  r.shed = shed_;
-  r.expired = expired_;
-  r.deadline_met = deadline_met_;
-  r.goodput_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(deadline_met_) / r.wall_seconds : 0.0;
-  r.member_runs = member_runs_;
-  r.steals = steals_;
-  r.hedges_launched = hedges_launched_;
-  r.hedge_wins = hedge_wins_;
-  r.hedge_wasted_us = hedge_wasted_us_;
+  fill_shared(r, wall_seconds);
+  r.wall_seconds = wall_seconds;
+  r.requests_per_sec = per_second(requests_, wall_seconds);
   r.member_p50_us = member_hist_.percentile_us(50.0);
   r.member_p99_us = member_hist_.percentile_us(99.0);
   if (!member_samples_.empty()) {
@@ -301,33 +188,38 @@ ServeReport ServeStats::report() const {
   }
   r.straggler_gap_p50_us = straggler_hist_.percentile_us(50.0);
   r.straggler_gap_p99_us = straggler_hist_.percentile_us(99.0);
-  r.phases.assembly_wait = phase_stats(assembly_hist_);
-  r.phases.queue_wait = phase_stats(queue_wait_hist_);
-  r.phases.execution = phase_stats(execution_hist_);
-  r.phases.finalize = phase_stats(finalize_hist_);
   r.sim = sim_;
   r.sim.lpe_utilization =
       sim_.wavefronts == 0 ? 0.0 : util_weight_ / static_cast<double>(sim_.wavefronts);
   return r;
 }
 
-void ServeStats::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  hist_ = LatencyHistogram{};
-  member_hist_ = LatencyHistogram{};
-  straggler_hist_ = LatencyHistogram{};
-  assembly_hist_ = LatencyHistogram{};
-  queue_wait_hist_ = LatencyHistogram{};
-  execution_hist_ = LatencyHistogram{};
-  finalize_hist_ = LatencyHistogram{};
-  requests_ = batches_ = samples_ = lanes_offered_ = 0;
-  shed_ = expired_ = deadline_met_ = 0;
-  member_runs_ = steals_ = 0;
-  member_samples_.clear();
-  hedges_launched_ = hedge_wins_ = hedge_wasted_us_ = 0;
-  sim_ = SimCounters{};
-  util_weight_ = 0.0;
-  start_ = clock_->now();
+void LedgerSnapshot::merge(const LedgerSnapshot& other) {
+  wall_seconds = std::max(wall_seconds, other.wall_seconds);
+  for (const ModelLedger& row : other.models) {
+    auto it = std::find_if(models.begin(), models.end(),
+                           [&](const ModelLedger& m) { return m.name == row.name; });
+    if (it == models.end()) {
+      models.push_back(row);
+    } else {
+      it->ledger.merge(row.ledger);
+    }
+  }
+}
+
+ServeReport to_report(const LedgerSnapshot& snapshot) {
+  ServeLedger total;
+  for (const ModelLedger& row : snapshot.models) total.merge(row.ledger);
+  ServeReport r = total.serve_report(snapshot.wall_seconds);
+  r.per_model.reserve(snapshot.models.size());
+  for (const ModelLedger& row : snapshot.models) {
+    ModelReport m = row.ledger.model_report(snapshot.wall_seconds);
+    m.name = row.name;
+    m.weight = row.weight;
+    m.queue_bound = row.queue_bound;
+    r.per_model.push_back(std::move(m));
+  }
+  return r;
 }
 
 }  // namespace lbnn::runtime

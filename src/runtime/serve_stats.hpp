@@ -3,7 +3,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -25,8 +24,8 @@ class LatencyHistogram {
   /// Upper bound (us) of the bucket containing the p-th percentile sample
   /// (0 < p <= 100). Returns 0 when the histogram is empty.
   std::uint64_t percentile_us(double p) const;
-  /// Bucket-wise accumulate (exact: both sides use the same log2 buckets).
-  /// Used to fold an unloading model's history into the retired aggregate.
+  /// Bucket-wise accumulate (exact: both sides use the same log2 buckets),
+  /// so the merged percentiles are those of the union of the samples.
   void merge(const LatencyHistogram& other);
 
  private:
@@ -81,7 +80,8 @@ struct ModelReport {
   std::uint64_t expired = 0;
   /// Completions that made their deadline (deadline-less requests count).
   std::uint64_t deadline_met = 0;
-  /// deadline_met / wall-clock seconds — filled by Engine::report().
+  /// deadline_met / the stats window's wall-clock seconds (the same window
+  /// as the engine totals).
   double goodput_per_sec = 0.0;
   /// Member work items this model's batches executed (>= batches; one per
   /// assembly member per batch that ran).
@@ -102,8 +102,8 @@ struct ModelReport {
   PhaseBreakdown phases;
 };
 
-/// Snapshot of a ServeStats aggregation (all values since construction or the
-/// last reset()).
+/// An engine's (or a fleet's) serving stats: the merge of its ledgers, all
+/// values since construction or the last reset_stats() (see to_report).
 struct ServeReport {
   std::uint64_t requests = 0;  ///< completed single-sample requests
   std::uint64_t batches = 0;   ///< sealed batches executed
@@ -144,7 +144,7 @@ struct ServeReport {
   /// but a speedup gate quantized to powers of two is a coin flip — a true
   /// 3.5x kernel ratio reads as 2x or 4x depending on where the times land
   /// relative to bucket edges. Raw samples are kept up to a fixed cap (see
-  /// ServeStats::kMemberSampleCap); past it the exact percentiles describe
+  /// ServeLedger::kMemberSampleCap); past it the exact percentiles describe
   /// the first cap-many member runs while the histogram stays complete.
   /// bench/serve_simd gates on these.
   std::uint64_t member_p50_exact_us = 0;
@@ -162,45 +162,78 @@ struct ServeReport {
   std::vector<ModelReport> per_model;
 };
 
-/// Thread-safe per-model serving metrics, embedded in each loaded model's
-/// state. The Engine feeds it alongside the global ServeStats; report() fills
-/// everything except the identity fields (name/weight/bound) and the derived
-/// goodput rate, which the Engine owns.
-class ModelStats {
+/// Everything one finalized batch contributes to a ServeLedger, recorded in
+/// one call (see ServeLedger::record_batch).
+struct BatchRecord {
+  /// Lane capacity of the batch's datapath word. 0 records no batch: every
+  /// request expired at dequeue and the simulator never ran.
+  std::size_t lane_capacity = 0;
+  /// Per completed request: its latency (submit -> finalize) and its
+  /// assembly wait (submit -> seal). Both empty for a failed batch, which
+  /// spent its lanes but produced no samples.
+  std::vector<std::uint64_t> latencies_us;
+  std::vector<std::uint64_t> assembly_us;
+  /// How many of the completions made their deadline.
+  std::uint64_t deadline_met = 0;
+  /// Batch-weighted phases (see PhaseBreakdown); recorded only when the
+  /// batch completed requests.
+  std::uint64_t queue_wait_us = 0;
+  std::uint64_t execution_us = 0;
+  std::uint64_t finalize_us = 0;
+};
+
+/// The serving stats of one model: the one recorder every engine event goes
+/// to. A plain mergeable value with no lock of its own — the engine keeps one
+/// per loaded model behind that model's mutex, folds a model's ledger into a
+/// retired one on unload, and builds engine totals (and the Router fleet
+/// totals) by merging ledgers. Histograms merge bucket-wise and the counters
+/// add, so a merged percentile is the percentile of the union of the samples,
+/// not an estimate. The exact member samples merge up to kMemberSampleCap.
+class ServeLedger {
  public:
-  /// `deadline_met` counts how many of these completions made their deadline.
-  void on_requests_done(const std::vector<std::uint64_t>& latencies_us,
-                        std::uint64_t deadline_met);
-  void on_batch(std::size_t samples, std::size_t lane_capacity);
+  /// Raw member service samples kept for the exact percentiles (8 bytes
+  /// each; recording stops at the cap, the histogram never does).
+  static constexpr std::size_t kMemberSampleCap = 1 << 18;
+
+  void record_shed() { ++shed_; }
+  void record_expired(std::size_t n) { expired_ += n; }
   /// Ready-queue depth (in member work items) observed after an enqueue;
   /// keeps the high-water mark.
-  void on_queue_depth(std::size_t depth);
-  void on_shed();
-  void on_expired(std::size_t n);
-  /// A finalized batch's member slots: counts executed members, steals, and
-  /// hedge wins.
-  void on_members_done(const std::vector<MemberSlot>& slots);
+  void record_queue_depth(std::size_t depth);
   /// A speculative duplicate was launched against a straggling member.
-  void on_hedge_launched();
-  /// A losing copy (original or duplicate) finished and discarded `wasted_us`
-  /// of execution time.
-  void on_hedge_waste(std::uint64_t wasted_us);
-  /// One finalized batch's phase decomposition: per-request assembly waits
-  /// (submit -> seal), then the batch-weighted seal -> dispatch, dispatch ->
-  /// last member, and settle times. See PhaseBreakdown.
-  void on_phases(const std::vector<std::uint64_t>& assembly_us,
-                 std::uint64_t queue_wait_us, std::uint64_t execution_us,
-                 std::uint64_t finalize_us);
-  /// Fold another model's entire history into this one (used by the engine's
-  /// retired-model aggregate on unload). The queue-depth high-water mark takes
-  /// the max; everything else adds.
-  void merge_from(const ModelStats& other);
+  void record_hedge_launch() { ++hedges_launched_; }
+  /// A losing copy (original or duplicate) finished and discarded
+  /// `wasted_us` of execution time.
+  void record_hedge_waste(std::uint64_t wasted_us) { hedge_wasted_us_ += wasted_us; }
+  /// One finalized batch: its member slots (member runs, steals, hedge wins,
+  /// service times, simulator counters and — with >= 2 executed members —
+  /// the straggler gap between the first and last to finish), then `batch`.
+  void record_batch(const std::vector<MemberSlot>& members,
+                    const BatchRecord& batch);
 
-  ModelReport report() const;
+  /// Fold `other` in. The queue-depth high-water mark takes the max;
+  /// everything else adds.
+  void merge(const ServeLedger& other);
+
+  std::uint64_t requests() const { return requests_; }
+  std::uint64_t shed() const { return shed_; }
+
+  /// The per-model row (identity fields left empty); goodput is
+  /// deadline_met / wall_seconds.
+  ModelReport model_report(double wall_seconds) const;
+  /// The engine-wide fields (per_model left empty); rates are counts /
+  /// wall_seconds.
+  ServeReport serve_report(double wall_seconds) const;
 
  private:
-  mutable std::mutex mu_;
+  /// Fill the fields ModelReport and ServeReport share.
+  template <typename Report>
+  void fill_shared(Report& r, double wall_seconds) const;
+
   LatencyHistogram hist_;
+  LatencyHistogram member_hist_;
+  std::vector<std::uint64_t> member_samples_;
+  LatencyHistogram straggler_hist_;
   LatencyHistogram assembly_hist_;
   LatencyHistogram queue_wait_hist_;
   LatencyHistogram execution_hist_;
@@ -218,77 +251,36 @@ class ModelStats {
   std::uint64_t hedges_launched_ = 0;
   std::uint64_t hedge_wins_ = 0;
   std::uint64_t hedge_wasted_us_ = 0;
-};
-
-/// Thread-safe serving metrics: request latencies (for p50/p99), batch lane
-/// occupancy, SLO outcomes (shed/expired/on-deadline), and SimCounters
-/// aggregated across every simulator run the engine's workers execute. Wall
-/// time comes from the injected clock, so ManualClock tests get deterministic
-/// rates.
-class ServeStats {
- public:
-  /// `clock` must outlive the stats; nullptr means the system clock.
-  explicit ServeStats(ClockSource* clock = nullptr)
-      : clock_(clock != nullptr ? clock : &SystemClock::instance()),
-        start_(clock_->now()) {}
-
-  void on_request_done(std::uint64_t latency_us);
-  /// Record a whole batch's request latencies under one lock acquisition
-  /// (finalize is on the worker hot path). `deadline_met` counts how many of
-  /// them made their deadline.
-  void on_requests_done(const std::vector<std::uint64_t>& latencies_us,
-                        std::uint64_t deadline_met);
-  void on_batch(std::size_t samples, std::size_t lane_capacity);
-  void on_sim_run(const SimCounters& c);
-  void on_shed();
-  void on_expired(std::size_t n);
-  /// A finalized batch's member slots, recorded in one lock acquisition:
-  /// member service-time percentiles, steal/hedge-win counts, and — for
-  /// batches where at least two members executed — the straggler gap between
-  /// the first and the last member to finish.
-  void on_members_done(const std::vector<MemberSlot>& slots);
-  void on_hedge_launched();
-  void on_hedge_waste(std::uint64_t wasted_us);
-  /// One finalized batch's phase decomposition (see ModelStats::on_phases).
-  void on_phases(const std::vector<std::uint64_t>& assembly_us,
-                 std::uint64_t queue_wait_us, std::uint64_t execution_us,
-                 std::uint64_t finalize_us);
-
-  ServeReport report() const;
-  void reset();
-
-  /// Raw member service samples kept for the exact percentiles (8 bytes
-  /// each; recording stops at the cap, the histogram never does).
-  static constexpr std::size_t kMemberSampleCap = 1 << 18;
-
- private:
-  mutable std::mutex mu_;
-  ClockSource* clock_;
-  LatencyHistogram hist_;
-  LatencyHistogram member_hist_;
-  std::vector<std::uint64_t> member_samples_;
-  LatencyHistogram straggler_hist_;
-  LatencyHistogram assembly_hist_;
-  LatencyHistogram queue_wait_hist_;
-  LatencyHistogram execution_hist_;
-  LatencyHistogram finalize_hist_;
-  std::uint64_t requests_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t samples_ = 0;
-  std::uint64_t lanes_offered_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t expired_ = 0;
-  std::uint64_t deadline_met_ = 0;
-  std::uint64_t member_runs_ = 0;
-  std::uint64_t steals_ = 0;
-  std::uint64_t hedges_launched_ = 0;
-  std::uint64_t hedge_wins_ = 0;
-  std::uint64_t hedge_wasted_us_ = 0;
   SimCounters sim_;
-  /// Sum of (lpe_utilization * wavefronts) per run; report() divides by the
-  /// summed wavefronts to recover the weighted mean.
+  /// Sum of (lpe_utilization * wavefronts) per run; the reports divide by
+  /// the summed wavefronts to recover the weighted mean.
   double util_weight_ = 0.0;
-  TimePoint start_;
 };
+
+/// One report row's ledger with the identity fields the row carries.
+struct ModelLedger {
+  std::string name;
+  std::uint32_t weight = 1;
+  std::size_t queue_bound = 0;
+  ServeLedger ledger;
+};
+
+/// An engine's stats at one instant (Engine::ledgers): each loaded model's
+/// ledger in load order, then the "(retired)" aggregate once any model was
+/// unloaded, and the wall-clock window since construction or the last
+/// reset_stats().
+struct LedgerSnapshot {
+  std::vector<ModelLedger> models;
+  double wall_seconds = 0.0;
+
+  /// Merge another engine's snapshot in: rows merge by name (a row new to
+  /// this snapshot is appended), and the window becomes the longer of the
+  /// two — so fleet rates are merged counts over the longest shard window.
+  void merge(const LedgerSnapshot& other);
+};
+
+/// Render a snapshot: the totals are the merge of every row's ledger, and
+/// each row becomes one per_model entry.
+ServeReport to_report(const LedgerSnapshot& snapshot);
 
 }  // namespace lbnn::runtime

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -412,6 +413,48 @@ TEST(Router, FleetBooksCloseAcrossShedExpiredCompleted) {
 
   router.shard(0).set_member_hook(nullptr);
   router.shard(1).set_member_hook(nullptr);
+}
+
+// Fleet percentiles are exact: the total is rendered from the shards'
+// ledgers merged by name, so the fleet p50 is the p50 of every request the
+// fleet served — not the worst shard's p50. One shard answers fast (15
+// requests at 100 us), the other slow (15 at 5000 us); each seals its one
+// lane-full batch on the 16th submit, which itself waits 0 us.
+TEST(Router, FleetPercentilesAreTheMergedHistograms) {
+  RouterFixture fx(0us, 1);
+  Router router(fx.ropt);
+  const Netlist nl = small_grid(9);
+  const std::vector<bool> bits(nl.num_inputs(), false);
+  runtime::LatencyHistogram want;
+  const auto serve_batch = [&](std::size_t shard, std::chrono::microseconds wait) {
+    const runtime::ModelHandle h = router.shard(shard).load("grid", nl);
+    std::vector<std::future<std::vector<bool>>> futs;
+    for (std::size_t i = 0; i + 1 < kLanes; ++i) {
+      futs.push_back(router.shard(shard).submit(h, bits));
+      want.record(static_cast<std::uint64_t>(wait.count()));
+    }
+    fx.clock.advance(wait);
+    futs.push_back(router.shard(shard).submit(h, bits));  // seals lane-full
+    want.record(0);
+    for (auto& f : futs) f.get();
+  };
+  serve_batch(0, 100us);
+  serve_batch(1, 5000us);
+
+  const FleetReport rep = router.report();
+  ASSERT_EQ(rep.per_shard.size(), 2u);
+  const std::uint64_t worst_p50 =
+      std::max(rep.per_shard[0].p50_latency_us, rep.per_shard[1].p50_latency_us);
+  EXPECT_EQ(rep.total.requests, 2 * kLanes);
+  EXPECT_EQ(rep.total.p50_latency_us, want.percentile_us(50.0));
+  EXPECT_EQ(rep.total.p99_latency_us, want.percentile_us(99.0));
+  EXPECT_LT(rep.total.p50_latency_us, worst_p50);
+  ASSERT_EQ(rep.total.per_model.size(), 1u);
+  EXPECT_EQ(rep.total.per_model[0].p50_latency_us, want.percentile_us(50.0));
+  // The phases merge the same way: assembly waits are the latencies here
+  // (each batch ran and settled at its seal instant).
+  EXPECT_EQ(rep.total.phases.assembly_wait.p50_us, want.percentile_us(50.0));
+  EXPECT_EQ(rep.total.phases.assembly_wait.count, 2 * kLanes);
 }
 
 // ---------------------------------------------------------------------------

@@ -434,39 +434,80 @@ TEST(LatencyHistogram, PercentilesAreMonotonic) {
   EXPECT_LE(p99, 2048u);  // true p99 is 990, octave resolution
 }
 
-TEST(ServeStats, AggregatesBatchesAndSims) {
-  ServeStats stats;
+/// A batch of `latencies.size()` completed requests on a 16-lane word, of
+/// which `met` made their deadline.
+BatchRecord completed(std::vector<std::uint64_t> latencies, std::uint64_t met) {
+  BatchRecord b;
+  b.lane_capacity = 16;
+  b.assembly_us.assign(latencies.size(), 1);
+  b.latencies_us = std::move(latencies);
+  b.deadline_met = met;
+  return b;
+}
+
+/// One executed member slot carrying `c` as its simulator counters.
+std::vector<MemberSlot> ran_member(const SimCounters& c, std::uint64_t service_us) {
+  std::vector<MemberSlot> slots(1);
+  slots[0].ran = true;
+  slots[0].service_us = service_us;
+  slots[0].sim = c;
+  return slots;
+}
+
+TEST(ServeLedger, AggregatesBatchesAndSims) {
+  ServeLedger ledger;
   SimCounters c;
   c.wavefronts = 10;
   c.lpe_computes = 40;
   c.lpe_utilization = 0.5;
-  stats.on_sim_run(c);
-  stats.on_sim_run(c);
-  stats.on_batch(12, 16);
-  stats.on_batch(4, 16);
-  stats.on_request_done(100);
-  const ServeReport rep = stats.report();
+  ledger.record_batch(ran_member(c, 7), completed(std::vector<std::uint64_t>(12, 100), 12));
+  ledger.record_batch(ran_member(c, 9), completed(std::vector<std::uint64_t>(4, 100), 4));
+  const ServeReport rep = ledger.serve_report(1.0);
+  EXPECT_EQ(rep.requests, 16u);
   EXPECT_EQ(rep.batches, 2u);
   EXPECT_EQ(rep.samples, 16u);
   EXPECT_EQ(rep.lanes_offered, 32u);
   EXPECT_DOUBLE_EQ(rep.lane_occupancy, 0.5);
+  EXPECT_EQ(rep.member_runs, 2u);
+  EXPECT_EQ(rep.member_p50_exact_us, 9u);
   EXPECT_EQ(rep.sim.wavefronts, 20u);
   EXPECT_EQ(rep.sim.lpe_computes, 80u);
   EXPECT_DOUBLE_EQ(rep.sim.lpe_utilization, 0.5);
-  EXPECT_EQ(rep.requests, 1u);
+  EXPECT_EQ(rep.phases.queue_wait.count, 2u);
+  EXPECT_EQ(rep.phases.assembly_wait.count, 16u);
 }
 
-// Wall-clock-derived figures (rates, goodput) are stamped off the injected
-// clock: a ManualClock makes them exact instead of host-speed-dependent.
-TEST(ServeStats, RatesAreDeterministicOnManualClock) {
-  ManualClock clock;
-  ServeStats stats(&clock);
-  stats.on_requests_done({100, 200, 300, 400}, /*deadline_met=*/3);
-  stats.on_shed();
-  stats.on_shed();
-  stats.on_expired(5);
-  clock.advance(std::chrono::seconds(2));
-  const ServeReport rep = stats.report();
+// A failed batch spends its lanes but completes nothing; a fully-expired one
+// never ran and books no batch at all.
+TEST(ServeLedger, FailedAndExpiredBatches) {
+  ServeLedger ledger;
+  BatchRecord failed;
+  failed.lane_capacity = 16;
+  ledger.record_batch(std::vector<MemberSlot>(2), failed);
+  ledger.record_batch(std::vector<MemberSlot>(2), BatchRecord{});
+  ledger.record_expired(3);
+  const ServeReport rep = ledger.serve_report(1.0);
+  EXPECT_EQ(rep.batches, 1u);
+  EXPECT_EQ(rep.lanes_offered, 16u);
+  EXPECT_EQ(rep.samples, 0u);
+  EXPECT_EQ(rep.requests, 0u);
+  EXPECT_EQ(rep.expired, 3u);
+  EXPECT_EQ(rep.member_runs, 0u);
+  EXPECT_EQ(rep.phases.queue_wait.count, 0u);
+}
+
+// Wall-clock-derived figures (rates, goodput) come from the snapshot's
+// window, not from the ledger: a fixed window makes them exact.
+TEST(ServeLedger, RatesComeFromTheSnapshotWindow) {
+  LedgerSnapshot snap;
+  snap.wall_seconds = 2.0;
+  snap.models.push_back({"m", 1, 8, ServeLedger{}});
+  ServeLedger& ledger = snap.models[0].ledger;
+  ledger.record_batch({}, completed({100, 200, 300, 400}, /*met=*/3));
+  ledger.record_shed();
+  ledger.record_shed();
+  ledger.record_expired(5);
+  const ServeReport rep = to_report(snap);
   EXPECT_EQ(rep.requests, 4u);
   EXPECT_EQ(rep.shed, 2u);
   EXPECT_EQ(rep.expired, 5u);
@@ -474,25 +515,21 @@ TEST(ServeStats, RatesAreDeterministicOnManualClock) {
   EXPECT_DOUBLE_EQ(rep.wall_seconds, 2.0);
   EXPECT_DOUBLE_EQ(rep.requests_per_sec, 2.0);
   EXPECT_DOUBLE_EQ(rep.goodput_per_sec, 1.5);
-  // reset() re-anchors on the same clock.
-  stats.reset();
-  clock.advance(std::chrono::seconds(1));
-  const ServeReport fresh = stats.report();
-  EXPECT_EQ(fresh.requests, 0u);
-  EXPECT_EQ(fresh.shed, 0u);
-  EXPECT_DOUBLE_EQ(fresh.wall_seconds, 1.0);
+  ASSERT_EQ(rep.per_model.size(), 1u);
+  EXPECT_EQ(rep.per_model[0].name, "m");
+  EXPECT_EQ(rep.per_model[0].queue_bound, 8u);
+  EXPECT_DOUBLE_EQ(rep.per_model[0].goodput_per_sec, 1.5);
 }
 
-TEST(ModelStats, PerModelBreakdown) {
-  ModelStats stats;
-  stats.on_requests_done({100, 200, 400}, /*deadline_met=*/2);
-  stats.on_batch(3, 16);
-  stats.on_queue_depth(2);
-  stats.on_queue_depth(7);
-  stats.on_queue_depth(4);  // hwm keeps the peak, not the last sample
-  stats.on_shed();
-  stats.on_expired(2);
-  const ModelReport rep = stats.report();
+TEST(ServeLedger, PerModelBreakdown) {
+  ServeLedger ledger;
+  ledger.record_batch({}, completed({100, 200, 400}, /*met=*/2));
+  ledger.record_queue_depth(2);
+  ledger.record_queue_depth(7);
+  ledger.record_queue_depth(4);  // hwm keeps the peak, not the last sample
+  ledger.record_shed();
+  ledger.record_expired(2);
+  const ModelReport rep = ledger.model_report(1.0);
   EXPECT_EQ(rep.requests, 3u);
   EXPECT_EQ(rep.batches, 1u);
   EXPECT_EQ(rep.samples, 3u);
@@ -503,6 +540,57 @@ TEST(ModelStats, PerModelBreakdown) {
   EXPECT_EQ(rep.shed, 1u);
   EXPECT_EQ(rep.expired, 2u);
   EXPECT_EQ(rep.deadline_met, 2u);
+}
+
+// Merging is exact: two ledgers merged report what one ledger that saw every
+// event reports — percentiles included (the merged histogram's, not the max
+// of the two) — and snapshots merge rows by name.
+TEST(ServeLedger, MergeEqualsRecordingEverythingOnce) {
+  SimCounters c;
+  c.wavefronts = 3;
+  c.lpe_utilization = 0.25;
+  ServeLedger fast, slow, both;
+  for (ServeLedger* l : {&fast, &both}) {
+    l->record_batch(ran_member(c, 5), completed({10, 10, 10}, 3));
+    l->record_queue_depth(4);
+  }
+  for (ServeLedger* l : {&slow, &both}) {
+    l->record_batch(ran_member(c, 50), completed({10000}, 1));
+    l->record_shed();
+    l->record_hedge_launch();
+    l->record_hedge_waste(6);
+  }
+  ServeLedger merged = fast;
+  merged.merge(slow);
+  const ServeReport m = merged.serve_report(1.0);
+  const ServeReport b = both.serve_report(1.0);
+  EXPECT_EQ(m.requests, 4u);
+  EXPECT_EQ(m.p50_latency_us, b.p50_latency_us);
+  EXPECT_EQ(m.p99_latency_us, b.p99_latency_us);
+  EXPECT_LT(m.p50_latency_us, slow.serve_report(1.0).p50_latency_us);
+  EXPECT_EQ(m.member_p50_exact_us, b.member_p50_exact_us);
+  EXPECT_EQ(m.member_p99_exact_us, b.member_p99_exact_us);
+  EXPECT_EQ(m.phases.assembly_wait.count, b.phases.assembly_wait.count);
+  EXPECT_EQ(m.shed, 1u);
+  EXPECT_EQ(m.hedges_launched, 1u);
+  EXPECT_EQ(m.hedge_wasted_us, 6u);
+  EXPECT_EQ(m.sim.wavefronts, 6u);
+  EXPECT_DOUBLE_EQ(m.sim.lpe_utilization, 0.25);
+  EXPECT_EQ(merged.model_report(1.0).queue_depth_hwm, 4u);
+
+  LedgerSnapshot shard0, shard1;
+  shard0.wall_seconds = 1.0;
+  shard0.models.push_back({"a", 1, 0, fast});
+  shard1.wall_seconds = 2.0;
+  shard1.models.push_back({"b", 1, 0, slow});
+  shard1.models.push_back({"a", 1, 0, slow});
+  shard0.merge(shard1);
+  ASSERT_EQ(shard0.models.size(), 2u);
+  EXPECT_EQ(shard0.models[0].name, "a");
+  EXPECT_EQ(shard0.models[0].ledger.requests(), 4u);
+  EXPECT_EQ(shard0.models[1].name, "b");
+  EXPECT_DOUBLE_EQ(shard0.wall_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(to_report(shard0).requests_per_sec, 5.0 / 2.0);
 }
 
 // Engine-level ManualClock integration: a partial batch seals when the TEST
@@ -533,6 +621,110 @@ TEST(Engine, ManualClockDrivesBatchTimeout) {
   const ServeReport rep = engine.report();
   EXPECT_EQ(rep.requests, 1u);
   EXPECT_EQ(rep.deadline_met, 1u);  // no deadline set: completing counts
+}
+
+// reset_stats() restarts the wall-clock window on the injected clock and
+// clears the per-model rows with the totals, so both cover the same window.
+TEST(Engine, ResetStatsReanchorsTheWindowOnManualClock) {
+  ManualClock clock;
+  Rng gen(56);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt;
+  eopt.num_workers = 1;
+  eopt.compile = small_lpu();
+  eopt.batch_timeout = std::chrono::milliseconds(10);
+  eopt.clock = &clock;
+  Engine engine(eopt);
+  const ModelHandle grid = engine.load("grid", nl);
+
+  auto fut = engine.submit(grid, std::vector<bool>(nl.num_inputs(), false));
+  clock.advance(std::chrono::milliseconds(10));
+  fut.get();
+  clock.advance(std::chrono::milliseconds(1990));
+  const ServeReport rep = engine.report();
+  EXPECT_EQ(rep.requests, 1u);
+  EXPECT_DOUBLE_EQ(rep.wall_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(rep.requests_per_sec, 0.5);
+  EXPECT_DOUBLE_EQ(rep.goodput_per_sec, 0.5);
+  ASSERT_EQ(rep.per_model.size(), 1u);
+  EXPECT_DOUBLE_EQ(rep.per_model[0].goodput_per_sec, 0.5);
+
+  engine.reset_stats();
+  clock.advance(std::chrono::seconds(1));
+  const ServeReport fresh = engine.report();
+  EXPECT_EQ(fresh.requests, 0u);
+  EXPECT_DOUBLE_EQ(fresh.wall_seconds, 1.0);
+  ASSERT_EQ(fresh.per_model.size(), 1u);
+  EXPECT_EQ(fresh.per_model[0].requests, 0u);
+  EXPECT_EQ(fresh.per_model[0].batches, 0u);
+  EXPECT_EQ(fresh.per_model[0].queue_depth_hwm, 0u);
+}
+
+// The engine totals are the merge of the per_model rows: across an unload the
+// unloaded model's history moves into "(retired)" and the totals still add
+// up, and reset_stats() zeroes rows and totals alike.
+TEST(Engine, TotalsAreTheMergeOfModelRowsAcrossUnload) {
+  Rng gen(57);
+  const Netlist na = reconvergent_grid(8, 4, gen);
+  const Netlist nb = reconvergent_grid(8, 5, gen);
+  EngineOptions eopt;
+  eopt.num_workers = 2;
+  eopt.compile = small_lpu();
+  Engine engine(eopt);
+  const ModelHandle a = engine.load("a", na);
+  const ModelHandle b = engine.load("b", nb);
+  const auto serve = [&](const ModelHandle& h, const Netlist& nl, int n) {
+    std::vector<std::future<std::vector<bool>>> futs;
+    for (int i = 0; i < n; ++i) {
+      futs.push_back(engine.submit(h, std::vector<bool>(nl.num_inputs(), i % 2 == 0)));
+    }
+    engine.drain();
+    for (auto& f : futs) f.get();
+  };
+  serve(a, na, 20);
+  serve(b, nb, 7);
+  ASSERT_TRUE(engine.unload(a));
+  serve(b, nb, 5);
+
+  const ServeReport rep = engine.report();
+  ASSERT_EQ(rep.per_model.size(), 2u);
+  EXPECT_EQ(rep.per_model[0].name, "b");
+  EXPECT_EQ(rep.per_model[1].name, "(retired)");
+  EXPECT_EQ(rep.per_model[0].requests, 12u);
+  EXPECT_EQ(rep.per_model[1].requests, 20u);
+  ModelReport sum;
+  for (const ModelReport& m : rep.per_model) {
+    sum.requests += m.requests;
+    sum.batches += m.batches;
+    sum.samples += m.samples;
+    sum.lanes_offered += m.lanes_offered;
+    sum.deadline_met += m.deadline_met;
+    sum.member_runs += m.member_runs;
+    sum.phases.assembly_wait.count += m.phases.assembly_wait.count;
+    sum.phases.execution.count += m.phases.execution.count;
+  }
+  EXPECT_EQ(rep.requests, 32u);
+  EXPECT_EQ(rep.requests, sum.requests);
+  EXPECT_EQ(rep.batches, sum.batches);
+  EXPECT_EQ(rep.samples, sum.samples);
+  EXPECT_EQ(rep.lanes_offered, sum.lanes_offered);
+  EXPECT_EQ(rep.deadline_met, sum.deadline_met);
+  EXPECT_EQ(rep.member_runs, sum.member_runs);
+  EXPECT_EQ(rep.phases.assembly_wait.count, sum.phases.assembly_wait.count);
+  EXPECT_EQ(rep.phases.execution.count, sum.phases.execution.count);
+
+  engine.reset_stats();
+  const ServeReport fresh = engine.report();
+  EXPECT_EQ(fresh.requests, 0u);
+  EXPECT_EQ(fresh.batches, 0u);
+  EXPECT_EQ(fresh.member_runs, 0u);
+  EXPECT_EQ(fresh.sim.wavefronts, 0u);
+  ASSERT_EQ(fresh.per_model.size(), 2u);
+  for (const ModelReport& m : fresh.per_model) {
+    EXPECT_EQ(m.requests, 0u) << m.name;
+    EXPECT_EQ(m.batches, 0u) << m.name;
+    EXPECT_EQ(m.queue_depth_hwm, 0u) << m.name;
+  }
 }
 
 }  // namespace
