@@ -102,12 +102,16 @@ struct Batch {
 
 /// Pack requests into the LPU's datapath words: request i becomes bit lane i
 /// of every primary-input BitVec (the simulator is bit-sliced, so a partial
-/// batch simply runs with a narrower word). Returns one BitVec per PI.
+/// batch simply runs with a narrower word). Returns one BitVec per PI. Works
+/// 64 lanes x 64 inputs at a time (a bit-matrix transpose per block) and
+/// stores whole words. Throws std::logic_error when a request's input count
+/// is not num_inputs.
 std::vector<BitVec> pack_requests(const std::vector<Request>& requests,
                                   std::size_t num_inputs);
 
 /// Inverse of pack_requests on the output side: per-request output bits from
-/// the simulator's per-PO BitVecs.
+/// the simulator's per-PO BitVecs, read one word per PO per 64 lanes. Throws
+/// std::logic_error when an output word is narrower than num_requests.
 std::vector<std::vector<bool>> unpack_outputs(const std::vector<BitVec>& outputs,
                                               std::size_t num_requests);
 

@@ -1322,7 +1322,6 @@ bool Engine::drop_expired_requests(BatchWork& work, std::size_t track) {
 
 void Engine::finalize(BatchWork& work, std::size_t track) {
   ModelState& m = *work.model;
-  const TimePoint now = clock_->now();
   const bool failed = work.failed.load();
   // Requests the dequeue-time expiry pass already failed are settled; only
   // the live remainder gets values/errors and latency accounting here.
@@ -1330,6 +1329,11 @@ void Engine::finalize(BatchWork& work, std::size_t track) {
   for (const auto& req : work.requests) {
     if (!req.expired) ++live;
   }
+  // Unpack before the stamp, so per-request latency, deadline_met and the
+  // finalize phase all include it.
+  std::vector<std::vector<bool>> per_request;
+  if (!failed && live > 0) per_request = unpack_outputs(work.outputs, work.requests.size());
+  const TimePoint now = clock_->now();
   // The batch's ledger entry. A failed batch ran (and wasted its lanes) but
   // produced no samples; a batch whose requests all expired at dequeue never
   // ran, so its lanes were reclaimed and it books no batch at all.
@@ -1382,7 +1386,6 @@ void Engine::finalize(BatchWork& work, std::size_t track) {
           std::make_exception_ptr(Error("batch failed: " + work.error)));
     }
   } else if (live > 0) {
-    auto per_request = unpack_outputs(work.outputs, work.requests.size());
     std::size_t k = 0;
     for (std::size_t i = 0; i < work.requests.size(); ++i) {
       if (work.requests[i].expired) continue;

@@ -46,7 +46,7 @@ struct PhaseStats {
 ///   assembly_wait: request submit -> its batch sealing (request-weighted)
 ///   queue_wait:    batch seal -> a worker dispatching it (batch-weighted)
 ///   execution:     dispatch -> the batch's last member completing
-///   finalize:      last member done -> futures resolved (settle cost)
+///   finalize:      last member done -> outputs unpacked, as futures resolve
 struct PhaseBreakdown {
   PhaseStats assembly_wait;
   PhaseStats queue_wait;

@@ -575,7 +575,9 @@ TEST(ZipfPicker, MatchesTheoreticalShape) {
   double total = 0.0;
   for (std::size_t k = 0; k < kN; ++k) {
     EXPECT_GT(zipf.probability(k), 0.0);
-    if (k > 0) EXPECT_LT(zipf.probability(k), zipf.probability(k - 1));
+    if (k > 0) {
+      EXPECT_LT(zipf.probability(k), zipf.probability(k - 1));
+    }
     total += zipf.probability(k);
   }
   EXPECT_NEAR(total, 1.0, 1e-9);

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -297,26 +299,71 @@ TEST(Batcher, RejectsWrongArity) {
   EXPECT_THROW(batcher.submit({true, false}), Error);
 }
 
-TEST(Batcher, PackUnpackRoundTrip) {
-  Rng rng(61);
-  std::vector<Request> requests(5);
-  for (auto& req : requests) {
-    req.inputs.resize(7);
-    for (std::size_t pi = 0; pi < 7; ++pi) req.inputs[pi] = rng.next_bool();
-  }
-  const auto packed = pack_requests(requests, 7);
-  ASSERT_EQ(packed.size(), 7u);
-  for (const auto& word : packed) EXPECT_EQ(word.width(), 5u);
-  for (std::size_t lane = 0; lane < 5; ++lane) {
-    for (std::size_t pi = 0; pi < 7; ++pi) {
-      EXPECT_EQ(packed[pi].get(lane), requests[lane].inputs[pi]);
+// Bit-by-bit references for pack_requests / unpack_outputs: one BitVec::set
+// or get per bit, the loops the word-parallel versions must agree with.
+std::vector<BitVec> pack_reference(const std::vector<Request>& requests,
+                                   std::size_t num_inputs) {
+  std::vector<BitVec> packed(num_inputs, BitVec(requests.size()));
+  for (std::size_t lane = 0; lane < requests.size(); ++lane) {
+    for (std::size_t pi = 0; pi < num_inputs; ++pi) {
+      packed[pi].set(lane, requests[lane].inputs[pi]);
     }
   }
-  // Treat the packed words as outputs: unpack must invert pack.
-  const auto unpacked = unpack_outputs(packed, 5);
-  for (std::size_t lane = 0; lane < 5; ++lane) {
-    EXPECT_EQ(unpacked[lane], requests[lane].inputs);
+  return packed;
+}
+
+std::vector<std::vector<bool>> unpack_reference(const std::vector<BitVec>& outputs,
+                                                std::size_t num_requests) {
+  std::vector<std::vector<bool>> per_request(num_requests,
+                                             std::vector<bool>(outputs.size()));
+  for (std::size_t lane = 0; lane < num_requests; ++lane) {
+    for (std::size_t po = 0; po < outputs.size(); ++po) {
+      per_request[lane][po] = outputs[po].get(lane);
+    }
   }
+  return per_request;
+}
+
+// Lane and bit counts on both sides of every 64-bit word boundary, up to the
+// paper's 2048-lane word and 256 bits of I/O.
+TEST(Batcher, PackUnpackMatchBitByBitReference) {
+  Rng rng(62);
+  for (const std::size_t lanes : {1, 63, 64, 65, 130, 2048}) {
+    for (const std::size_t bits : {1, 7, 64, 65, 256}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + " bits " + std::to_string(bits));
+      std::vector<Request> requests(lanes);
+      for (Request& req : requests) {
+        req.inputs.resize(bits);
+        for (std::size_t i = 0; i < bits; ++i) req.inputs[i] = rng.next_bool();
+      }
+      const std::vector<BitVec> packed = pack_requests(requests, bits);
+      const std::vector<BitVec> expect = pack_reference(requests, bits);
+      ASSERT_EQ(packed.size(), bits);
+      for (std::size_t pi = 0; pi < bits; ++pi) {
+        ASSERT_EQ(packed[pi].width(), lanes);
+        EXPECT_EQ(packed[pi], expect[pi]) << "pi " << pi;
+        // Lanes past the batch are zero in the last word.
+        if (lanes % 64 != 0) {
+          EXPECT_EQ(packed[pi].word(packed[pi].num_words() - 1) >> (lanes % 64), 0u);
+        }
+      }
+
+      std::vector<BitVec> outputs;
+      for (std::size_t po = 0; po < bits; ++po) outputs.push_back(BitVec::random(lanes, rng));
+      EXPECT_EQ(unpack_outputs(outputs, lanes), unpack_reference(outputs, lanes));
+      // A batch narrower than the output words reads only its own lanes.
+      EXPECT_EQ(unpack_outputs(outputs, lanes / 2), unpack_reference(outputs, lanes / 2));
+    }
+  }
+}
+
+TEST(Batcher, PackUnpackRejectShapeMismatch) {
+  std::vector<Request> requests(65);
+  for (Request& req : requests) req.inputs.assign(7, true);
+  requests[64].inputs.push_back(false);
+  EXPECT_THROW(pack_requests(requests, 7), std::logic_error);
+  const std::vector<BitVec> outputs(3, BitVec(64));
+  EXPECT_THROW(unpack_outputs(outputs, 65), std::logic_error);
 }
 
 TEST(ProgramCache, HitsMissesEvictions) {
@@ -621,6 +668,57 @@ TEST(Engine, ManualClockDrivesBatchTimeout) {
   const ServeReport rep = engine.report();
   EXPECT_EQ(rep.requests, 1u);
   EXPECT_EQ(rep.deadline_met, 1u);  // no deadline set: completing counts
+}
+
+// Bit-exact serving across 64-bit word boundaries on both axes: a 130-lane
+// word (three words, the last partial) and more than 64 primary inputs and
+// outputs. One batch seals lane-full, the next partial one on the timer.
+TEST(Engine, BitExactAcrossWordBoundaries) {
+  Rng gen(57);
+  RandomCircuitSpec spec;
+  spec.num_inputs = 72;
+  spec.num_gates = 400;
+  spec.num_outputs = 70;
+  const Netlist nl = random_dag(spec, gen);
+  ASSERT_GE(nl.num_inputs(), 70u);
+  ASSERT_GE(nl.num_outputs(), 70u);
+  constexpr std::size_t kLanes = 130;
+  constexpr std::size_t kPartial = 67;
+
+  Rng rng(58);
+  std::vector<std::vector<bool>> samples(kLanes + kPartial);
+  for (auto& bits : samples) {
+    bits.resize(nl.num_inputs());
+    for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = rng.next_bool();
+  }
+
+  for (const bool simd : {false, true}) {
+    SCOPED_TRACE(simd ? "simd" : "scalar");
+    ManualClock clock;
+    EngineOptions eopt;
+    eopt.num_workers = 2;
+    eopt.compile.lpu.word_width = static_cast<std::uint32_t>(kLanes);
+    eopt.batch_timeout = std::chrono::milliseconds(10);
+    eopt.simd = simd;
+    eopt.clock = &clock;
+    Engine engine(eopt);
+    const ModelHandle h = engine.load("wide", nl);
+
+    // The first kLanes requests seal a full batch; the rest stay open until
+    // the timer, which only the test moves.
+    std::vector<std::future<std::vector<bool>>> futs;
+    for (const auto& bits : samples) futs.push_back(engine.submit(h, bits));
+    EXPECT_EQ(futs.back().wait_for(std::chrono::milliseconds(0)),
+              std::future_status::timeout);
+    clock.advance(std::chrono::milliseconds(10));
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(futs[i].get(), simulate_scalar(nl, samples[i])) << "request " << i;
+    }
+    const ServeReport rep = engine.report();
+    EXPECT_EQ(rep.requests, samples.size());
+    EXPECT_EQ(rep.batches, 2u);
+    engine.shutdown();
+  }
 }
 
 // reset_stats() restarts the wall-clock window on the injected clock and
