@@ -32,6 +32,9 @@ std::uint64_t Program::total_computes() const {
 void Program::validate() const {
   cfg.validate();
   if (instr.size() != num_wavefronts) throw Error("program: wavefront count mismatch");
+  for (const std::uint32_t pi : input_layout) {
+    if (pi >= num_primary_inputs) throw Error("program: input layout PI out of range");
+  }
   for (const auto& wave : instr) {
     if (wave.size() != cfg.n) throw Error("program: LPV count mismatch");
     for (std::size_t j = 0; j < wave.size(); ++j) {

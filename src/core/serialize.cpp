@@ -91,7 +91,10 @@ Program read_program(std::istream& is) {
       std::size_t addr = 0;
       std::uint32_t pi = 0;
       ls >> addr >> pi;
-      need(have_counts);
+      // The input buffer holds one word per primary input: an address or PI
+      // past that would size the buffer, or index the inputs, out of range.
+      need(have_counts && addr < prog.num_primary_inputs &&
+           pi < prog.num_primary_inputs);
       if (prog.input_layout.size() <= addr) prog.input_layout.resize(addr + 1, 0);
       prog.input_layout[addr] = pi;
     } else if (tag == "route") {

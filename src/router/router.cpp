@@ -248,51 +248,11 @@ Router::Candidates Router::route(const RoutedModel& model) {
   return c;
 }
 
-std::future<std::vector<bool>> Router::submit(const RoutedHandle& h,
-                                              std::vector<bool> inputs,
-                                              TimePoint deadline) {
-  auto model = model_of(h);
-  Candidates c = route(*model);
-  if (!c.winner.handle) throw Error("model '" + model->name + "' is unloaded");
-  if (!c.has_loser) {
-    return shards_[c.winner.shard]->submit(c.winner.handle, std::move(inputs),
-                                           deadline);
-  }
-  // A replica can retire between routing and submission; fall over once
-  // then. DeadlineExceeded is final — the winner had the minimum drain
-  // estimate, the loser would shed too.
-  if (!c.winner.handle.loaded()) std::swap(c.winner, c.loser);
-  std::vector<bool> copy = inputs;  // retry payload: the first attempt
-                                    // consumes `inputs` at the call site,
-                                    // throw or no throw
-  try {
-    return shards_[c.winner.shard]->submit(c.winner.handle, std::move(inputs),
-                                           deadline);
-  } catch (const DeadlineExceeded&) {
-    throw;
-  } catch (const Error&) {
-    // Retry against the CURRENT replica set, not the loser sampled before
-    // the first attempt: a set_replicas retire or an alias flip may have
-    // removed that replica from routing while the attempt ran, and the stale
-    // handle would just throw "unloaded" for a model that is still loaded.
-    Candidates r = route(*model);
-    if (!r.winner.handle) throw;
-    Replica retry = r.winner;
-    if (r.has_loser && r.winner.shard == c.winner.shard) retry = r.loser;
-    return shards_[retry.shard]->submit(retry.handle, std::move(copy),
-                                        deadline);
-  }
-}
-
-SubmitStatus Router::try_submit(const RoutedHandle& h,
-                                std::vector<bool> inputs,
-                                std::future<std::vector<bool>>* result,
-                                TimePoint deadline) {
-  auto model = model_of(h);
-  Candidates c = route(*model);
+SubmitStatus Router::admit(const RoutedModel& model, std::vector<bool>& inputs,
+                           std::future<std::vector<bool>>* result,
+                           TimePoint deadline, bool block) {
+  Candidates c = route(model);
   if (!c.winner.handle) return SubmitStatus::kUnloaded;
-  std::vector<bool> copy;
-  if (c.has_loser) copy = inputs;  // keep a retry payload
   {
     std::shared_ptr<const std::function<void()>> hook;
     {
@@ -301,8 +261,10 @@ SubmitStatus Router::try_submit(const RoutedHandle& h,
     }
     if (hook) (*hook)();
   }
-  const SubmitStatus first = shards_[c.winner.shard]->try_submit(
-      c.winner.handle, std::move(inputs), result, deadline);
+  // Engine::admit leaves `inputs` intact on a refusal, so the retry below
+  // needs no copy of them.
+  const SubmitStatus first = shards_[c.winner.shard]->admit(
+      c.winner.handle, inputs, nullptr, result, deadline, block);
   if (first == SubmitStatus::kAccepted ||
       first == SubmitStatus::kDeadlineUnmeetable || !c.has_loser) {
     // kDeadlineUnmeetable never retries: the winner had the minimum drain
@@ -316,12 +278,33 @@ SubmitStatus Router::try_submit(const RoutedHandle& h,
   // would surface kUnloaded for a model that is still loaded. Prefer a
   // replica other than the one that just refused when the fresh sample
   // offers one.
-  Candidates r = route(*model);
+  Candidates r = route(model);
   if (!r.winner.handle) return first;
   Replica retry = r.winner;
   if (r.has_loser && r.winner.shard == c.winner.shard) retry = r.loser;
-  return shards_[retry.shard]->try_submit(retry.handle, std::move(copy),
-                                          result, deadline);
+  return shards_[retry.shard]->admit(retry.handle, inputs, nullptr, result,
+                                     deadline, block);
+}
+
+std::future<std::vector<bool>> Router::submit(const RoutedHandle& h,
+                                              std::vector<bool> inputs,
+                                              TimePoint deadline) {
+  auto model = model_of(h);
+  std::future<std::vector<bool>> fut;
+  const SubmitStatus status =
+      admit(*model, inputs, &fut, deadline, /*block=*/true);
+  if (status != SubmitStatus::kAccepted) {
+    runtime::throw_refusal(status, model->name);
+  }
+  return fut;
+}
+
+SubmitStatus Router::try_submit(const RoutedHandle& h,
+                                std::vector<bool> inputs,
+                                std::future<std::vector<bool>>* result,
+                                TimePoint deadline) {
+  auto model = model_of(h);
+  return admit(*model, inputs, result, deadline, /*block=*/false);
 }
 
 void Router::set_route_hook(std::function<void()> hook) {

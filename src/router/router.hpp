@@ -98,10 +98,11 @@ class RoutedHandle {
 /// ModelProbe::drain_estimate_us() wins (ties: fewer outstanding requests,
 /// then the lower shard id — fully deterministic on a cold fleet). The probe
 /// reads the same EWMA/queue counters admission shedding uses; the router
-/// never maintains a second estimator. try_submit retries the losing
-/// candidate once on kQueueFull/kUnloaded — but NEVER on
-/// kDeadlineUnmeetable: the winner had the minimum drain estimate, so the
-/// loser would shed too, and retrying would double-count the shed.
+/// never maintains a second estimator. Both submit forms go through one
+/// admission: a refused first attempt retries once on a freshly routed
+/// replica — but NEVER on kDeadlineUnmeetable: the winner had the minimum
+/// drain estimate, so the loser would shed too, and retrying would
+/// double-count the shed.
 ///
 /// Rebalancing: a background tick on the injected ClockSource (ManualClock
 /// in tests — zero real sleeps) diffs each model's per-shard shed/completed
@@ -140,15 +141,15 @@ class Router {
 
   /// Blocking submit, routed to the winning replica (see class comment).
   /// Semantics match Engine::submit, including the DeadlineExceeded throw on
-  /// a doomed deadline — which is final (no second candidate is tried).
+  /// a doomed deadline — which is final (no second replica is tried).
   std::future<std::vector<bool>> submit(const RoutedHandle& model,
                                         std::vector<bool> inputs,
                                         runtime::TimePoint deadline =
                                             runtime::kNoDeadline);
 
-  /// Non-blocking submit with one fallback: the losing candidate is tried
-  /// once on kQueueFull/kUnloaded/kShuttingDown, never on
-  /// kDeadlineUnmeetable. Semantics otherwise match Engine::try_submit.
+  /// Non-blocking submit with one fallback: a fresh route is tried once on
+  /// kQueueFull/kUnloaded/kShuttingDown, never on kDeadlineUnmeetable.
+  /// Semantics otherwise match Engine::try_submit.
   runtime::SubmitStatus try_submit(const RoutedHandle& model,
                                    std::vector<bool> inputs,
                                    std::future<std::vector<bool>>* result,
@@ -197,7 +198,7 @@ class Router {
   void export_trace(std::ostream& os);
 
   /// Test instrumentation, mirroring Engine::set_dispatch_hook: called by
-  /// try_submit between candidate sampling and the first dispatch attempt —
+  /// submit and try_submit between candidate sampling and the first attempt —
   /// the window where a concurrent set_replicas/flip can retire a sampled
   /// replica. The retry-vs-retire tests shrink the replica set inside the
   /// hook to pin that the retry re-samples the current set. nullptr clears.
@@ -212,6 +213,13 @@ class Router {
   struct Candidates;
 
   std::shared_ptr<RoutedModel> model_of(const RoutedHandle& handle) const;
+  /// The one admission path behind submit and try_submit: route, attempt
+  /// the winner through Engine::admit, and on a refusal other than a shed
+  /// retry once on a fresh route. `inputs` is moved from only on kAccepted.
+  runtime::SubmitStatus admit(const RoutedModel& model,
+                              std::vector<bool>& inputs,
+                              std::future<std::vector<bool>>* result,
+                              runtime::TimePoint deadline, bool block);
   RoutedHandle load_impl(const std::string& name, const Netlist& nl,
                          std::uint32_t parallel_lpus,
                          const runtime::ModelOptions& mopt);
@@ -242,7 +250,7 @@ class Router {
 
   mutable std::mutex models_mu_;
   std::vector<std::shared_ptr<RoutedModel>> models_;
-  /// Guarded by models_mu_; try_submit snapshots the shared_ptr and calls
+  /// Guarded by models_mu_; admit() snapshots the shared_ptr and calls
   /// outside the lock (see set_route_hook).
   std::shared_ptr<const std::function<void()>> route_hook_;
 

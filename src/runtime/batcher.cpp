@@ -124,20 +124,12 @@ Batch Batcher::finish(std::vector<Request>&& requests) const {
   return sealed;
 }
 
-std::future<std::vector<bool>> Batcher::submit(std::vector<bool> input_bits,
-                                               TimePoint deadline,
-                                               bool* opened_batch,
-                                               std::uint64_t req_id) {
-  if (input_bits.size() != num_inputs_) {
-    throw Error("request has " + std::to_string(input_bits.size()) +
+void Batcher::submit(Request&& req, bool* opened_batch) {
+  if (req.inputs.size() != num_inputs_) {
+    throw Error("request has " + std::to_string(req.inputs.size()) +
                 " input bits, model expects " + std::to_string(num_inputs_));
   }
-  Request req;
-  req.inputs = std::move(input_bits);
   req.enqueued = clock_.now();
-  req.deadline = deadline;
-  req.id = req_id;
-  std::future<std::vector<bool>> fut = req.result.get_future();
 
   std::vector<Request> full;
   bool opened = false;
@@ -157,7 +149,6 @@ std::future<std::vector<bool>> Batcher::submit(std::vector<bool> input_bits,
   // Seal outside the lock: on_seal_ feeds a queue that wakes workers, and a
   // worker must never contend with submitters on the batcher mutex.
   if (!full.empty()) on_seal_(finish(std::move(full)));
-  return fut;
 }
 
 std::size_t Batcher::open_count() const {

@@ -3,10 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -15,11 +17,21 @@
 
 namespace lbnn::runtime {
 
+/// A request's completion callback: called exactly once, with either an error
+/// (and no outputs) or a null error and one Boolean per primary output.
+using Completion =
+    std::function<void(std::exception_ptr error, std::vector<bool>&& outputs)>;
+
+/// Where a request's answer goes: a Completion, or the promise behind a
+/// std::future. The callback comes first so that a default-constructed
+/// Request allocates nothing.
+using Sink = std::variant<Completion, std::promise<std::vector<bool>>>;
+
 /// One single-sample inference request: one Boolean per primary input going
-/// in, one per primary output coming back through the promise.
+/// in, one per primary output coming back through the sink.
 struct Request {
   std::vector<bool> inputs;
-  std::promise<std::vector<bool>> result;
+  Sink sink;
   TimePoint enqueued;
   /// Engine-assigned request id (monotonic, never 0 when tracing): links the
   /// trace stream's submit event to this request's completion across threads.
@@ -27,7 +39,7 @@ struct Request {
   /// Absolute completion deadline; kNoDeadline when the client set none.
   TimePoint deadline = kNoDeadline;
   /// Set by the worker that finds the request already past its deadline at
-  /// dequeue: the promise has been failed with DeadlineExceeded, finalize
+  /// dequeue: the request has been settled with DeadlineExceeded, finalize
   /// must not touch it again.
   bool expired = false;
 };
@@ -136,16 +148,13 @@ class Batcher {
           std::size_t num_members, std::chrono::microseconds max_wait,
           SealFn on_seal);
 
-  /// Throws lbnn::Error when input_bits.size() != num_inputs. `deadline` is
-  /// stamped onto the request for the engine's expiry handling (kNoDeadline =
-  /// none). When `opened_batch` is non-null it is set to whether this request
-  /// started a new open batch (i.e. a new seal deadline now exists) — the
-  /// engine only needs to re-arm its timekeeper in that case. `req_id` is the
-  /// engine's trace id for this request (0 when tracing is off).
-  std::future<std::vector<bool>> submit(std::vector<bool> input_bits,
-                                        TimePoint deadline = kNoDeadline,
-                                        bool* opened_batch = nullptr,
-                                        std::uint64_t req_id = 0);
+  /// Stamp `req.enqueued` and append the request to the open batch. Throws
+  /// lbnn::Error, leaving `req` untouched, when req.inputs.size() !=
+  /// num_inputs. The caller sets the sink, deadline and trace id. When
+  /// `opened_batch` is non-null it is set to whether this request started a
+  /// new open batch (i.e. a new seal deadline now exists) — the engine only
+  /// needs to re-arm its timekeeper in that case.
+  void submit(Request&& req, bool* opened_batch = nullptr);
 
   /// Seal deadline of the currently open batch, if one is open.
   std::optional<TimePoint> deadline() const;

@@ -71,6 +71,19 @@ const char* to_string(SubmitStatus status) {
   return "invalid-submit-status";  // out-of-range cast, not an enumerator
 }
 
+void throw_refusal(SubmitStatus status, const std::string& model_name) {
+  if (status == SubmitStatus::kDeadlineUnmeetable) {
+    throw DeadlineExceeded("model '" + model_name +
+                           "': estimated drain time exceeds the deadline");
+  }
+  if (status == SubmitStatus::kShuttingDown) throw Error("engine is shut down");
+  if (status == SubmitStatus::kUnloaded) {
+    throw Error("model '" + model_name + "' is unloaded");
+  }
+  throw Error("model '" + model_name + "': submit refused (" +
+              to_string(status) + ")");
+}
+
 bool deadline_unmeetable(TimePoint deadline, TimePoint now,
                          std::uint64_t ewma_item_us, std::size_t items_ahead,
                          std::size_t workers) {
@@ -222,6 +235,23 @@ struct ModelState {
 };
 
 namespace {
+
+/// Resolve a request through its sink: the promise behind its future, or its
+/// Completion. The only code that resolves a request. noexcept: a callback
+/// must not throw, and a throw here would leave the settle pass half done.
+void settle(Request& req, std::exception_ptr error,
+            std::vector<bool>&& outputs) noexcept {
+  if (Completion* done = std::get_if<Completion>(&req.sink)) {
+    (*done)(std::move(error), std::move(outputs));
+    return;
+  }
+  auto& promise = std::get<std::promise<std::vector<bool>>>(req.sink);
+  if (error) {
+    promise.set_exception(std::move(error));
+  } else {
+    promise.set_value(std::move(outputs));
+  }
+}
 
 /// Move `n` requests out of `outstanding` just before their futures resolve:
 /// admission slots free up now, and unload() keeps waiting (on `settling`)
@@ -570,9 +600,10 @@ static bool shed_check(const ModelState& m, TimePoint deadline, TimePoint now,
                              items_ahead, workers);
 }
 
-std::future<std::vector<bool>> Engine::submit(const ModelHandle& model,
-                                              std::vector<bool> inputs,
-                                              TimePoint deadline) {
+SubmitStatus Engine::admit(const ModelHandle& model, std::vector<bool>& inputs,
+                           Completion* on_done,
+                           std::future<std::vector<bool>>* result,
+                           TimePoint deadline, bool block) {
   ModelState* m = state_of(model);
   check_arity(*m, inputs.size());
   TimePoint now = clock_->now();
@@ -587,65 +618,59 @@ std::future<std::vector<bool>> Engine::submit(const ModelHandle& model,
   // (drain waits for us; timer/workers stay alive until we're answered) or it
   // lands after, in which case accepting is already false here and we bail.
   impl_->in_flight.fetch_add(1);
+  SubmitStatus status;
   {
     std::unique_lock<std::mutex> lk(m->mu);
-    const auto shed = [&]() -> void {
-      lk.unlock();
+    // Lifecycle states outrank shedding (a shut-down engine reports
+    // shutdown, not a shed), and shedding outranks the bound: a doomed
+    // request fails in microseconds instead of waiting out a slot it could
+    // only waste.
+    const auto verdict = [&] {
+      if (!impl_->accepting.load()) return SubmitStatus::kShuttingDown;
+      if (!m->accepting.load()) return SubmitStatus::kUnloaded;
+      if (shed_check(*m, deadline, now, workers_.size())) {
+        return SubmitStatus::kDeadlineUnmeetable;
+      }
+      if (m->outstanding >= m->queue_bound) return SubmitStatus::kQueueFull;
+      return SubmitStatus::kAccepted;
+    };
+    status = verdict();
+    // Backpressure: wait for an admission slot instead of growing
+    // unboundedly. The wait may outlive the engine, the model or the
+    // deadline, so every wakeup re-runs the whole verdict.
+    while (block && status == SubmitStatus::kQueueFull) {
+      m->cv.wait(lk);
+      now = clock_->now();
+      status = verdict();
+    }
+    if (status == SubmitStatus::kAccepted) ++m->outstanding;
+  }
+  if (status != SubmitStatus::kAccepted) {
+    if (status == SubmitStatus::kDeadlineUnmeetable) {
       record(*m, [](ServeLedger& l) { l.record_shed(); });
       emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
-      release_requests(1);
-      throw DeadlineExceeded("model '" + m->name +
-                             "': estimated drain time exceeds the deadline");
-    };
-    // Shed BEFORE parking on backpressure — a doomed request must fail in
-    // microseconds, not after waiting out a slot it could only waste. But
-    // lifecycle states take precedence (mirroring try_submit's ordering):
-    // a shut-down engine reports shutdown, not a shed.
-    if (impl_->accepting.load() && m->accepting.load() &&
-        shed_check(*m, deadline, now, workers_.size())) {
-      shed();
     }
-    // Backpressure: wait for an admission slot instead of growing unboundedly.
-    m->cv.wait(lk, [&] {
-      return !impl_->accepting.load() || !m->accepting.load() ||
-             m->outstanding < m->queue_bound;
-    });
-    if (!impl_->accepting.load()) {
-      lk.unlock();
-      release_requests(1);
-      throw Error("engine is shut down");
-    }
-    if (!m->accepting.load()) {
-      lk.unlock();
-      release_requests(1);
-      throw Error("model '" + m->name + "' is unloaded");
-    }
-    // Re-check after the wait: backpressure may have parked us long enough
-    // that the deadline became unmeetable in the meantime.
-    if (deadline != kNoDeadline) {
-      now = clock_->now();
-      if (shed_check(*m, deadline, now, workers_.size())) shed();
-    }
-    ++m->outstanding;
+    release_requests(1);
+    return status;
   }
-  return dispatch_admitted(m, std::move(inputs), deadline, req_id);
-}
 
-/// Post-admission tail shared by submit() and try_submit(). The caller has
-/// claimed in_flight and incremented m->outstanding; this hands the request
-/// to the batcher (rolling both claims back if it throws) and re-arms the
-/// timekeeper when a new batch deadline appeared.
-std::future<std::vector<bool>> Engine::dispatch_admitted(
-    ModelState* m, std::vector<bool>&& inputs, TimePoint deadline,
-    std::uint64_t req_id) {
+  Request req;
+  req.inputs = std::move(inputs);
+  std::future<std::vector<bool>> fut;
+  if (on_done != nullptr) {
+    req.sink = std::move(*on_done);
+  } else {
+    fut = req.sink.emplace<std::promise<std::vector<bool>>>().get_future();
+  }
+  req.deadline = deadline;
+  req.id = req_id;
   m->last_used_us.store(to_us(clock_->now()));
   // kAdmit BEFORE the batcher call: a lane-full submit seals inline, and the
   // admit of the sealing request must precede its batch's seal in the stream.
   emit_trace(Tracer::kSharedTrack, TraceEventType::kAdmit, m->id, req_id);
-  std::future<std::vector<bool>> fut;
   bool opened_batch = false;
   try {
-    fut = m->batcher->submit(std::move(inputs), deadline, &opened_batch, req_id);
+    m->batcher->submit(std::move(req), &opened_batch);
   } catch (...) {
     {
       std::lock_guard<std::mutex> lk(m->mu);
@@ -663,6 +688,19 @@ std::future<std::vector<bool>> Engine::dispatch_admitted(
     }
     impl_->timer_cv.notify_one();
   }
+  if (on_done == nullptr) *result = std::move(fut);
+  return SubmitStatus::kAccepted;
+}
+
+std::future<std::vector<bool>> Engine::submit(const ModelHandle& model,
+                                              std::vector<bool> inputs,
+                                              TimePoint deadline) {
+  std::future<std::vector<bool>> fut;
+  const SubmitStatus status =
+      admit(model, inputs, nullptr, &fut, deadline, /*block=*/true);
+  if (status != SubmitStatus::kAccepted) {
+    throw_refusal(status, state_of(model)->name);
+  }
   return fut;
 }
 
@@ -670,40 +708,14 @@ SubmitStatus Engine::try_submit(const ModelHandle& model,
                                 std::vector<bool> inputs,
                                 std::future<std::vector<bool>>* result,
                                 TimePoint deadline) {
-  ModelState* m = state_of(model);
-  check_arity(*m, inputs.size());
-  const TimePoint now = clock_->now();
-  deadline = effective_deadline(*m, deadline, now);
-  const std::uint64_t req_id =
-      impl_->next_req_id.fetch_add(1, std::memory_order_relaxed);
-  emit_trace(Tracer::kSharedTrack, TraceEventType::kSubmit, m->id, req_id, 0,
-             deadline == kNoDeadline ? 0
-                                     : static_cast<std::uint64_t>(to_us(deadline)));
-  impl_->in_flight.fetch_add(1);  // same claim-first rationale as submit()
-  {
-    std::lock_guard<std::mutex> lk(m->mu);
-    if (!impl_->accepting.load()) {
-      release_requests(1);
-      return SubmitStatus::kShuttingDown;
-    }
-    if (!m->accepting.load()) {
-      release_requests(1);
-      return SubmitStatus::kUnloaded;
-    }
-    if (shed_check(*m, deadline, now, workers_.size())) {
-      record(*m, [](ServeLedger& l) { l.record_shed(); });
-      emit_trace(Tracer::kSharedTrack, TraceEventType::kShed, m->id, req_id);
-      release_requests(1);
-      return SubmitStatus::kDeadlineUnmeetable;
-    }
-    if (m->outstanding >= m->queue_bound) {
-      release_requests(1);
-      return SubmitStatus::kQueueFull;
-    }
-    ++m->outstanding;
-  }
-  *result = dispatch_admitted(m, std::move(inputs), deadline, req_id);
-  return SubmitStatus::kAccepted;
+  return admit(model, inputs, nullptr, result, deadline, /*block=*/false);
+}
+
+SubmitStatus Engine::try_submit(const ModelHandle& model,
+                                std::vector<bool> inputs, Completion on_done,
+                                TimePoint deadline) {
+  if (!on_done) throw Error("try_submit: empty completion callback");
+  return admit(model, inputs, &on_done, nullptr, deadline, /*block=*/false);
 }
 
 bool Engine::unload(const ModelHandle& model) {
@@ -1313,8 +1325,9 @@ bool Engine::drop_expired_requests(BatchWork& work, std::size_t track) {
     if (!req.expired) continue;
     emit_trace(track, TraceEventType::kRequestDone, m.id, req.id, 0, 0,
                kTraceFlagExpired);
-    req.result.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "request expired in '" + m.name + "' queue before dispatch")));
+    settle(req, std::make_exception_ptr(DeadlineExceeded(
+                    "request expired in '" + m.name + "' queue before dispatch")),
+           {});
   }
   end_settle(m);
   return expired != work.requests.size();
@@ -1382,8 +1395,8 @@ void Engine::finalize(BatchWork& work, std::size_t track) {
       if (req.expired) continue;
       emit_trace(track, TraceEventType::kRequestDone, m.id, req.id, 0, 0,
                  kTraceFlagFailed);
-      req.result.set_exception(
-          std::make_exception_ptr(Error("batch failed: " + work.error)));
+      settle(req, std::make_exception_ptr(Error("batch failed: " + work.error)),
+             {});
     }
   } else if (live > 0) {
     std::size_t k = 0;
@@ -1391,7 +1404,7 @@ void Engine::finalize(BatchWork& work, std::size_t track) {
       if (work.requests[i].expired) continue;
       emit_trace(track, TraceEventType::kRequestDone, m.id, work.requests[i].id,
                  0, rec.latencies_us[k++]);
-      work.requests[i].result.set_value(std::move(per_request[i]));
+      settle(work.requests[i], nullptr, std::move(per_request[i]));
     }
   }
   end_settle(m);

@@ -31,6 +31,13 @@ enum class SubmitStatus : std::uint8_t {
 
 const char* to_string(SubmitStatus status);
 
+/// The exception a blocking submit throws for a refused admission:
+/// DeadlineExceeded for kDeadlineUnmeetable, lbnn::Error for the lifecycle
+/// states (and kQueueFull, which a blocking submit never returns). Engine and
+/// Router both map refusals through it, so their messages agree.
+[[noreturn]] void throw_refusal(SubmitStatus status,
+                                const std::string& model_name);
+
 /// Per-model serving options, fixed at load time.
 struct ModelOptions {
   /// Maximum outstanding (accepted but unanswered) requests for this model.
@@ -233,7 +240,8 @@ class Engine {
   /// request's deadline is `deadline` if given, else admission time +
   /// ModelOptions::default_deadline when that is set, else none. A request
   /// still queued past its deadline is dropped at dequeue: its future fails
-  /// with DeadlineExceeded instead of simulating dead work.
+  /// with DeadlineExceeded instead of simulating dead work. An adapter over
+  /// admit(); a refusal throws what throw_refusal() maps it to.
   std::future<std::vector<bool>> submit(const ModelHandle& model,
                                         std::vector<bool> inputs,
                                         TimePoint deadline = kNoDeadline);
@@ -246,6 +254,33 @@ class Engine {
   SubmitStatus try_submit(const ModelHandle& model, std::vector<bool> inputs,
                           std::future<std::vector<bool>>* result,
                           TimePoint deadline = kNoDeadline);
+
+  /// Callback-form submit; never blocks. The contract:
+  ///   * `on_done` is called exactly once if and only if the status is
+  ///     kAccepted — with the outputs, or with the error a future would have
+  ///     carried (DeadlineExceeded on expiry, Error on a failed batch);
+  ///   * it runs on the worker thread that settles the request, possibly
+  ///     before try_submit returns, with no engine lock held;
+  ///   * it must not block and must not throw (a throw terminates). It may
+  ///     admit more work with the non-blocking forms: it runs before the
+  ///     request leaves in_flight(), so drain() also waits for what it admits.
+  /// Throws only on usage bugs, as try_submit() does, and on an empty
+  /// callback.
+  SubmitStatus try_submit(const ModelHandle& model, std::vector<bool> inputs,
+                          Completion on_done, TimePoint deadline = kNoDeadline);
+
+  /// The one admission path behind every submit form: arity, deadline, the
+  /// submit trace event, the in_flight claim, then lifecycle -> shed ->
+  /// bound. With `block`, a caller at the queue bound waits for a slot and
+  /// then checks lifecycle and shed again; without it, the bound returns
+  /// kQueueFull. On kAccepted the answer goes to *on_done when that is
+  /// non-null, else to a future stored in *result. Moves from `inputs` and
+  /// *on_done only on kAccepted — a refusal leaves both intact (and *result
+  /// untouched), so a caller can retry elsewhere. Throws only on usage bugs,
+  /// like try_submit().
+  SubmitStatus admit(const ModelHandle& model, std::vector<bool>& inputs,
+                     Completion* on_done, std::future<std::vector<bool>>* result,
+                     TimePoint deadline, bool block);
 
   /// Stop admitting to this model, drain its outstanding requests (every
   /// accepted future still resolves), release its program-cache pin, and
@@ -391,10 +426,6 @@ class Engine {
                              std::size_t lane_capacity,
                              const ModelOptions& mopt);
   ModelState* state_of(const ModelHandle& handle) const;
-  std::future<std::vector<bool>> dispatch_admitted(ModelState* m,
-                                                   std::vector<bool>&& inputs,
-                                                   TimePoint deadline,
-                                                   std::uint64_t req_id);
   /// Record one serving event into the model's ledger — or, once unload()
   /// has folded that ledger, into the retired aggregate, so an event that
   /// lands after the fold is still counted exactly once.

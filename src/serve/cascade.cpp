@@ -1,5 +1,6 @@
 #include "serve/cascade.hpp"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -10,189 +11,137 @@ namespace lbnn::serve {
 using runtime::SubmitStatus;
 using runtime::TimePoint;
 
+struct Cascade::Pending {
+  Cascade* cascade;
+  std::promise<std::vector<bool>> promise;
+  std::vector<bool> inputs;  ///< retained for the stage-2 forward
+  TimePoint deadline;
+};
+
 Cascade::Cascade(runtime::Engine& engine, runtime::ModelHandle tiny,
                  runtime::ModelHandle big, CascadeOptions options)
     : engine_(&engine),
       tiny_(std::move(tiny)),
       big_(std::move(big)),
       opt_(std::move(options)) {
-  forwarder_ = std::thread([this] { forwarder_loop(); });
-  finisher_ = std::thread([this] { finisher_loop(); });
+  engine_->probe(tiny_);  // throws on an empty or foreign handle
+  engine_->probe(big_);
+  if (tiny_.num_inputs() != big_.num_inputs()) {
+    throw Error("cascade: tiny model takes " +
+                std::to_string(tiny_.num_inputs()) + " inputs, big model " +
+                std::to_string(big_.num_inputs()));
+  }
 }
 
-Cascade::~Cascade() {
-  // Resolve everything in flight first so no caller future dangles, then stop
-  // the pipe threads once their queues are empty.
-  drain();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  stage1_cv_.notify_all();
-  stage2_cv_.notify_all();
-  forwarder_.join();
-  finisher_.join();
-}
+Cascade::~Cascade() { drain(); }
 
 std::future<std::vector<bool>> Cascade::submit(std::vector<bool> inputs,
                                                TimePoint deadline) {
-  Entry e;
-  e.inputs = inputs;  // retained copy; the original moves into stage 1
-  e.deadline = deadline;
-  std::future<std::vector<bool>> client = e.promise.get_future();
+  if (inputs.size() != tiny_.num_inputs()) {
+    throw Error("cascade: request has " + std::to_string(inputs.size()) +
+                " input bits, models expect " +
+                std::to_string(tiny_.num_inputs()));
+  }
+  auto* p = new Pending{this, {}, std::move(inputs), deadline};
+  std::future<std::vector<bool>> client = p->promise.get_future();
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++counters_.submitted;
-    ++pending_;
   }
+  // Stage 1 gets a copy of the inputs; `p` keeps its own for stage 2. The
+  // callback captures one pointer, so std::function stores it without an
+  // allocation. Once accepted, the callback owns `p` and may already have
+  // freed it when try_submit returns.
+  const SubmitStatus st = engine_->try_submit(
+      tiny_, p->inputs,
+      [p](std::exception_ptr error, std::vector<bool>&& out) {
+        p->cascade->on_stage1(p, std::move(error), std::move(out));
+      },
+      deadline);
+  if (st == SubmitStatus::kAccepted) return client;
 
-  std::future<std::vector<bool>> s1;
-  const SubmitStatus st =
-      engine_->try_submit(tiny_, std::move(inputs), &s1, deadline);
-  if (st == SubmitStatus::kAccepted) {
-    e.stage1 = std::move(s1);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stage1_q_.push_back(std::move(e));
-    }
-    stage1_cv_.notify_one();
-    return client;
-  }
-
+  const bool bypass = opt_.bypass_on_stage1_refusal;
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++counters_.stage1_shed;
+    if (bypass) ++counters_.bypassed;
   }
-  if (opt_.bypass_on_stage1_refusal) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++counters_.bypassed;
-    }
-    forward(std::move(e));
+  if (bypass) {
+    forward(p);
   } else {
-    e.promise.set_exception(std::make_exception_ptr(Error(
-        std::string("cascade: stage-1 admission refused: ") +
-        runtime::to_string(st))));
-    std::lock_guard<std::mutex> lk(mu_);
-    ++counters_.failed;
-    done_locked();
+    finish(p, nullptr,
+           std::make_exception_ptr(
+               Error(std::string("cascade: stage-1 admission refused: ") +
+                     runtime::to_string(st))),
+           {});
   }
   return client;
 }
 
-void Cascade::forward(Entry e) {
-  std::future<std::vector<bool>> s2;
-  const SubmitStatus st =
-      engine_->try_submit(big_, std::move(e.inputs), &s2, e.deadline);
-  if (st == SubmitStatus::kAccepted) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stage2_q_.push_back(Fin{std::move(e.promise), std::move(s2)});
-      ++progress_;
-    }
-    stage2_cv_.notify_one();
-    drain_cv_.notify_all();
-    return;
+void Cascade::on_stage1(Pending* p, std::exception_ptr error,
+                        std::vector<bool>&& out) noexcept {
+  // A stage-1 failure after admission means the deadline expired in queue
+  // (or the batch failed) — final either way: the same budget has already
+  // run out for stage 2.
+  if (error) return finish(p, nullptr, std::move(error), {});
+  bool confident = false;
+  try {
+    confident = opt_.confident && opt_.confident(out);
+  } catch (...) {
+    return finish(p, nullptr, std::current_exception(), {});
   }
+  if (confident) {
+    return finish(p, &CascadeReport::stage1_answered, nullptr, std::move(out));
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++counters_.forwarded;
+  }
+  forward(p);
+}
+
+void Cascade::forward(Pending* p) noexcept {
+  const SubmitStatus st = engine_->try_submit(
+      big_, std::move(p->inputs),
+      [p](std::exception_ptr error, std::vector<bool>&& out) {
+        p->cascade->finish(p, error ? nullptr : &CascadeReport::stage2_answered,
+                           std::move(error), std::move(out));
+      },
+      p->deadline);
+  if (st == SubmitStatus::kAccepted) return;
   // Stage-2 admission saw only the remaining budget (the deadline is
   // absolute; stage 1's queueing and service already came out of it) and
   // refused. The request fails here, in microseconds, instead of occupying a
   // big-model lane it cannot finish in time.
-  if (st == SubmitStatus::kDeadlineUnmeetable) {
-    e.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "cascade: remaining budget below the stage-2 drain estimate")));
+  std::exception_ptr error =
+      st == SubmitStatus::kDeadlineUnmeetable
+          ? std::make_exception_ptr(DeadlineExceeded(
+                "cascade: remaining budget below the stage-2 drain estimate"))
+          : std::make_exception_ptr(
+                Error(std::string("cascade: stage-2 admission refused: ") +
+                      runtime::to_string(st)));
+  finish(p, &CascadeReport::stage2_shed, std::move(error), {});
+}
+
+void Cascade::finish(Pending* p, std::uint64_t CascadeReport::*outcome,
+                     std::exception_ptr error,
+                     std::vector<bool>&& out) noexcept {
+  std::unique_ptr<Pending> owned(p);
+  // Count before resolving: a client that wakes from get() and reads
+  // report() must see its request.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (outcome != nullptr) ++(counters_.*outcome);
+    if (error) ++counters_.failed;
+  }
+  if (error) {
+    owned->promise.set_exception(std::move(error));
   } else {
-    e.promise.set_exception(std::make_exception_ptr(Error(
-        std::string("cascade: stage-2 admission refused: ") +
-        runtime::to_string(st))));
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  ++counters_.stage2_shed;
-  ++counters_.failed;
-  done_locked();
-}
-
-void Cascade::forwarder_loop() {
-  for (;;) {
-    Entry e;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      stage1_cv_.wait(lk, [&] { return stop_ || !stage1_q_.empty(); });
-      if (stage1_q_.empty()) return;  // stop_ with nothing left to pipe
-      e = std::move(stage1_q_.front());
-      stage1_q_.pop_front();
-    }
-    try {
-      std::vector<bool> out = e.stage1.get();
-      if (opt_.confident && opt_.confident(out)) {
-        e.promise.set_value(std::move(out));
-        std::lock_guard<std::mutex> lk(mu_);
-        ++counters_.stage1_answered;
-        done_locked();
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++counters_.forwarded;
-      }
-      forward(std::move(e));
-    } catch (...) {
-      // A stage-1 failure after admission means the deadline expired in
-      // queue (or the engine shut down) — final either way: the same budget
-      // has already run out for stage 2.
-      e.promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lk(mu_);
-      ++counters_.failed;
-      done_locked();
-    }
+    owned->promise.set_value(std::move(out));
   }
 }
 
-void Cascade::finisher_loop() {
-  for (;;) {
-    Fin f;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      stage2_cv_.wait(lk, [&] { return stop_ || !stage2_q_.empty(); });
-      if (stage2_q_.empty()) return;
-      f = std::move(stage2_q_.front());
-      stage2_q_.pop_front();
-    }
-    try {
-      f.promise.set_value(f.stage2.get());
-      std::lock_guard<std::mutex> lk(mu_);
-      ++counters_.stage2_answered;
-      done_locked();
-    } catch (...) {
-      f.promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lk(mu_);
-      ++counters_.failed;
-      done_locked();
-    }
-  }
-}
-
-void Cascade::done_locked() {
-  --pending_;
-  ++progress_;
-  drain_cv_.notify_all();
-}
-
-void Cascade::drain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (pending_ != 0) {
-    const std::uint64_t seen = progress_;
-    lk.unlock();
-    // Seal and resolve everything the engine has admitted so far. After this
-    // returns, every stage-1 future the pipe is waiting on is ready; the
-    // forwarder may then admit stage-2 work that needs ANOTHER seal — the
-    // progress counter tells us when that has happened, and the loop drains
-    // again.
-    engine_->drain();
-    lk.lock();
-    drain_cv_.wait(lk, [&] { return pending_ == 0 || progress_ != seen; });
-  }
-}
+void Cascade::drain() { engine_->drain(); }
 
 CascadeReport Cascade::report() const {
   std::lock_guard<std::mutex> lk(mu_);

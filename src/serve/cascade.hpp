@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
-#include <condition_variable>
-#include <thread>
 #include <vector>
 
 #include "runtime/engine.hpp"
@@ -55,16 +53,22 @@ struct CascadeReport {
 /// model's estimated drain (counted in stage2_shed; the future fails with
 /// DeadlineExceeded in microseconds instead of wasting a big-model lane).
 ///
-/// Threading: submit() never blocks on stage results; two internal pipe
-/// threads (forwarder: stage-1 completion -> predicate -> stage-2 admission;
-/// finisher: stage-2 completion -> caller promise) drive the chain in FIFO
-/// order. Waits are future/condvar-based — nothing here reads a clock, so
-/// ManualClock tests stay sleep-free. The Cascade must outlive its pending
-/// futures' resolution and be destroyed before the Engine.
+/// Threading: the Cascade owns no thread. Stage 1 is admitted with a
+/// completion callback (Engine::try_submit's callback form). The callback
+/// runs on the engine worker that settles the stage-1 request: it runs the
+/// predicate there and, when the answer is not confident, admits stage 2
+/// without blocking. Stage 2's callback settles the client's promise. Each
+/// request moves on as soon as its own stage finishes; a slow request holds
+/// up nothing behind it. The predicate must therefore be cheap, must not
+/// block, and may run on several workers at once. Nothing here reads a
+/// clock, so ManualClock tests stay sleep-free. The Cascade must be
+/// destroyed before the Engine; its destructor drains.
 class Cascade {
  public:
-  /// Both handles must live on `engine`. The options' predicate is called on
-  /// the forwarder thread with the tiny model's output.
+  /// Both handles must live on `engine` and take the same number of inputs
+  /// (a forwarded request carries stage 1's inputs to stage 2); otherwise
+  /// throws lbnn::Error. The options' predicate is called on an engine
+  /// worker with the tiny model's output.
   Cascade(runtime::Engine& engine, runtime::ModelHandle tiny,
           runtime::ModelHandle big, CascadeOptions options = {});
   ~Cascade();
@@ -75,55 +79,41 @@ class Cascade {
   /// Submit one sample; the future resolves with the answering stage's output
   /// (or DeadlineExceeded / Error if both stages refused it). Never blocks on
   /// model execution; uses the engines' non-blocking admission internally.
+  /// Throws lbnn::Error, counting nothing, on an input-count mismatch.
   std::future<std::vector<bool>> submit(
       std::vector<bool> inputs,
       runtime::TimePoint deadline = runtime::kNoDeadline);
 
-  /// Block until every submitted request's future has resolved. Drives the
-  /// engine's drain as needed (a forwarded request needs a second seal for
-  /// its stage-2 batch). Call it quiesced — concurrent submits extend it.
+  /// Block until every submitted request's future has resolved: the engine's
+  /// drain(), which also waits for the stage-2 work that stage-1 callbacks
+  /// admit. Call it quiesced — concurrent submits extend it.
   void drain();
 
   CascadeReport report() const;
 
  private:
-  struct Entry {
-    std::promise<std::vector<bool>> promise;
-    std::vector<bool> inputs;  ///< retained for the stage-2 forward
-    runtime::TimePoint deadline{};
-    std::future<std::vector<bool>> stage1;
-  };
-  struct Fin {
-    std::promise<std::vector<bool>> promise;
-    std::future<std::vector<bool>> stage2;
-  };
+  /// One request between submit and its answer, owned by whichever
+  /// completion callback currently holds it.
+  struct Pending;
 
-  void forwarder_loop();
-  void finisher_loop();
-  /// Stage-2 admission for one entry (forward or bypass path); resolves the
-  /// promise on refusal. Caller counted forwarded/bypassed already.
-  void forward(Entry e);
-  /// One request fully resolved: drop pending, wake drain().
-  void done_locked();
+  /// Stage-1 completion: predicate, then answer or forward.
+  void on_stage1(Pending* p, std::exception_ptr error,
+                 std::vector<bool>&& out) noexcept;
+  /// Stage-2 admission for one request (forward or bypass path); a refusal
+  /// ends the request. Caller counted forwarded/bypassed already.
+  void forward(Pending* p) noexcept;
+  /// Count the request's outcome, resolve the client's promise and free the
+  /// request: the one place a cascade request ends.
+  void finish(Pending* p, std::uint64_t CascadeReport::*outcome,
+              std::exception_ptr error, std::vector<bool>&& out) noexcept;
 
   runtime::Engine* engine_;
   runtime::ModelHandle tiny_;
   runtime::ModelHandle big_;
   CascadeOptions opt_;
 
-  mutable std::mutex mu_;
-  std::condition_variable stage1_cv_;  ///< forwarder wakeups
-  std::condition_variable stage2_cv_;  ///< finisher wakeups
-  std::condition_variable drain_cv_;   ///< drain() wakeups
-  std::deque<Entry> stage1_q_;
-  std::deque<Fin> stage2_q_;
-  bool stop_ = false;
-  std::size_t pending_ = 0;      ///< submitted, promise not yet resolved
-  std::uint64_t progress_ = 0;   ///< bumped on every pipe-thread action
+  mutable std::mutex mu_;  ///< guards counters_
   CascadeReport counters_;
-
-  std::thread forwarder_;
-  std::thread finisher_;
 };
 
 }  // namespace lbnn::serve

@@ -91,7 +91,14 @@ class Parser {
   }
   int expect_number() {
     if (peek().kind != TokKind::kNumber) fail("expected number");
-    return std::stoi(take().text);
+    int value = 0;
+    try {
+      value = std::stoi(peek().text);
+    } catch (const std::exception&) {
+      fail("number '" + peek().text + "' out of range");
+    }
+    take();
+    return value;
   }
 
   // ---- net table -----------------------------------------------------------

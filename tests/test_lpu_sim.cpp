@@ -124,6 +124,21 @@ TEST(LpuSim, ProgramValidationCatchesBadFields) {
     p.instr[0][0].feedback_writes.push_back(0);  // not the terminal LPV
     EXPECT_THROW(LpuSimulator{p}, Error);
   }
+  {
+    Program p = tiny_program();
+    p.input_layout[1] = 811764;  // would read inputs[811764]
+    EXPECT_THROW(LpuSimulator{p}, Error);
+  }
+  // The same fields read from a program file: a layout record naming a PI or
+  // an input-buffer address past the program's PI count is refused before
+  // the buffer is sized from it.
+  const std::string text = program_to_string(tiny_program());
+  ASSERT_NE(text.find("layout 1 1\n"), std::string::npos);
+  for (const char* bad : {"layout 1 811764\n", "layout 4294967295 0\n"}) {
+    std::string mutated = text;
+    mutated.replace(mutated.find("layout 1 1\n"), 11, bad);
+    EXPECT_THROW(program_from_string(mutated), Error) << bad;
+  }
 }
 
 TEST(LpuSim, InstrHookSeesEveryNonEmptyInstr) {

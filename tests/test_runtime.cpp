@@ -192,13 +192,28 @@ TEST(Engine, HandlesAreEngineSpecific) {
   EXPECT_THROW(b.try_submit(on_a, std::vector<bool>(nl.num_inputs()), &fut), Error);
 }
 
+/// Submit `bits` to a bare Batcher with a promise sink, the way the engine's
+/// future path does; returns the request's future.
+std::future<std::vector<bool>> submit_bits(Batcher& batcher,
+                                           std::vector<bool> bits,
+                                           TimePoint deadline = kNoDeadline,
+                                           bool* opened_batch = nullptr) {
+  Request req;
+  req.inputs = std::move(bits);
+  req.deadline = deadline;
+  std::future<std::vector<bool>> fut =
+      req.sink.emplace<std::promise<std::vector<bool>>>().get_future();
+  batcher.submit(std::move(req), opened_batch);
+  return fut;
+}
+
 TEST(Batcher, SealsWhenLanesFill) {
   ManualClock clock;
   std::vector<std::size_t> batch_sizes;
   Batcher batcher(clock, 2, 4, 1, std::chrono::hours(1),
                   [&](Batch&& b) { batch_sizes.push_back(b.requests.size()); });
   std::vector<std::future<std::vector<bool>>> futs;
-  for (int i = 0; i < 9; ++i) futs.push_back(batcher.submit({true, false}));
+  for (int i = 0; i < 9; ++i) futs.push_back(submit_bits(batcher, {true, false}));
   // 9 submits at capacity 4: two full batches sealed inline, one open.
   EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{4, 4}));
   EXPECT_EQ(batcher.open_count(), 1u);
@@ -217,7 +232,7 @@ TEST(Batcher, SealsOnTimeoutManualClock) {
   std::vector<std::size_t> batch_sizes;
   Batcher batcher(clock, 1, 8, 1, std::chrono::microseconds(500),
                   [&](Batch&& b) { batch_sizes.push_back(b.requests.size()); });
-  auto fut = batcher.submit({true});
+  auto fut = submit_bits(batcher, {true});
   const auto deadline = batcher.deadline();
   ASSERT_TRUE(deadline.has_value());
   EXPECT_EQ(*deadline, clock.now() + std::chrono::microseconds(500));
@@ -228,7 +243,7 @@ TEST(Batcher, SealsOnTimeoutManualClock) {
   EXPECT_TRUE(batch_sizes.empty());
   // A second request joins the SAME batch and must not push the deadline out:
   // the seal timer runs from the OLDEST request.
-  auto fut2 = batcher.submit({false});
+  auto fut2 = submit_bits(batcher, {false});
   EXPECT_EQ(batcher.deadline(), deadline);
   // The final tick: the partial batch (both requests) seals.
   clock.advance(std::chrono::microseconds(1));
@@ -246,10 +261,10 @@ TEST(Batcher, SealOnLaneFullRacesTimeout) {
   std::vector<std::size_t> batch_sizes;
   Batcher batcher(clock, 1, 2, 1, std::chrono::microseconds(100),
                   [&](Batch&& b) { batch_sizes.push_back(b.requests.size()); });
-  auto f1 = batcher.submit({true});
+  auto f1 = submit_bits(batcher, {true});
   // Time reaches the deadline exactly as the filling request arrives...
   clock.advance(std::chrono::microseconds(100));
-  auto f2 = batcher.submit({false});  // lane-full: seals inline
+  auto f2 = submit_bits(batcher, {false});  // lane-full: seals inline
   EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{2}));
   // ...so the timer's expiry sweep must be a no-op, not a double seal.
   batcher.seal_if_expired(clock.now());
@@ -265,13 +280,13 @@ TEST(Batcher, ZeroTimeoutSealsImmediately) {
   Batcher batcher(clock, 1, 8, 1, std::chrono::microseconds(0),
                   [&](Batch&& b) { batch_sizes.push_back(b.requests.size()); });
   bool opened = false;
-  auto f1 = batcher.submit({true}, kNoDeadline, &opened);
+  auto f1 = submit_bits(batcher, {true}, kNoDeadline, &opened);
   EXPECT_TRUE(opened);  // a deadline (now + 0) exists and is already due
   ASSERT_TRUE(batcher.deadline().has_value());
   batcher.seal_if_expired(clock.now());  // no advance needed
   EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{1}));
   // Each subsequent request opens (and immediately expires) its own batch.
-  auto f2 = batcher.submit({false});
+  auto f2 = submit_bits(batcher, {false});
   batcher.seal_if_expired(clock.now());
   EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{1, 1}));
 }
@@ -285,8 +300,8 @@ TEST(Batcher, StampsRequestDeadlines) {
     for (auto& r : b.requests) sealed.push_back(std::move(r));
   });
   const TimePoint slo = clock.now() + std::chrono::milliseconds(5);
-  auto f1 = batcher.submit({true}, slo);
-  auto f2 = batcher.submit({false});  // no deadline
+  auto f1 = submit_bits(batcher, {true}, slo);
+  auto f2 = submit_bits(batcher, {false});  // no deadline
   ASSERT_EQ(sealed.size(), 2u);
   EXPECT_EQ(sealed[0].deadline, slo);
   EXPECT_EQ(sealed[1].deadline, kNoDeadline);
@@ -296,7 +311,12 @@ TEST(Batcher, StampsRequestDeadlines) {
 TEST(Batcher, RejectsWrongArity) {
   ManualClock clock;
   Batcher batcher(clock, 3, 4, 1, std::chrono::hours(1), [](Batch&&) {});
-  EXPECT_THROW(batcher.submit({true, false}), Error);
+  Request req;
+  req.inputs = {true, false};
+  EXPECT_THROW(batcher.submit(std::move(req)), Error);
+  // A refused request is left untouched: its inputs are still the caller's.
+  EXPECT_EQ(req.inputs, (std::vector<bool>{true, false}));
+  EXPECT_EQ(batcher.open_count(), 0u);
 }
 
 // Bit-by-bit references for pack_requests / unpack_outputs: one BitVec::set

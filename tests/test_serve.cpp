@@ -4,16 +4,22 @@
 // lifecycle bugfix sweep (evict_idle on the injected clock domain, the
 // admission-vs-evict race window, dynamic set_weight rescaling). Everything
 // timing-related runs on a ManualClock — this file contains zero wall-clock
-// sleeps by construction (CI greps for them).
+// sleeps by construction (CI greps for them). The cascade usage-bug and
+// head-of-line tests bound their waits with wait_for, so a hang or a request
+// stuck behind another fails instead of stalling the suite.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -200,6 +206,126 @@ TEST(Cascade, RebudgetShedsStage2WhenRemainingBudgetTooSmall) {
   EXPECT_EQ(rep.stage2_answered, 1u);
   EXPECT_EQ(rep.failed, 1u);
   EXPECT_EQ(rep.stage1_shed, 0u);
+  engine.set_member_hook(nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Cascade: usage bugs and head-of-line blocking
+// ---------------------------------------------------------------------------
+
+/// Run `fn` on a helper thread and fail if it has not returned within
+/// `limit`: a hang reads as a test failure, not a suite stalled until the
+/// ctest timeout. A hung helper can never be joined, so after reporting the
+/// process exits.
+template <typename Fn>
+void expect_returns_within(std::chrono::seconds limit, const char* what,
+                           Fn fn) {
+  std::packaged_task<void()> task(std::move(fn));
+  std::future<void> done = task.get_future();
+  std::thread helper(std::move(task));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << what << " did not return within " << limit.count()
+                  << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  helper.join();
+  done.get();
+}
+
+// A wrong-arity submit is a usage bug: it throws before anything is counted,
+// and the cascade keeps working — drain() and the destructor still return.
+TEST(Cascade, WrongAritySubmitThrowsAndCountsNothing) {
+  Rng gen(304);
+  const Netlist tiny_nl = reconvergent_grid(8, 2, gen);
+  const Netlist big_nl = reconvergent_grid(8, 4, gen);
+  Engine engine(small_engine(1));
+  const ModelHandle tiny = engine.load("tiny", tiny_nl);
+  const ModelHandle big = engine.load("big", big_nl);
+  expect_returns_within(10s, "drain and destruction after a refused submit",
+                        [&] {
+                          Cascade cascade(engine, tiny, big);
+                          EXPECT_THROW(cascade.submit(std::vector<bool>(
+                                           tiny_nl.num_inputs() + 1)),
+                                       Error);
+                          EXPECT_EQ(cascade.report().submitted, 0u);
+                          const std::vector<bool> bits(tiny_nl.num_inputs(), true);
+                          auto fut = cascade.submit(bits);
+                          cascade.drain();
+                          EXPECT_EQ(fut.get(), simulate_scalar(big_nl, bits));
+                          EXPECT_EQ(cascade.report().submitted, 1u);
+                        });
+}
+
+// A forwarded request carries stage 1's inputs to stage 2, so the stages
+// must agree on the input count: the constructor refuses a mismatch up front
+// rather than failing every forward later.
+TEST(Cascade, StageArityMismatchIsRejectedAtConstruction) {
+  Rng gen(305);
+  const Netlist tiny_nl = reconvergent_grid(8, 2, gen);
+  const Netlist big_nl = reconvergent_grid(9, 4, gen);
+  ASSERT_NE(tiny_nl.num_inputs(), big_nl.num_inputs());
+  Engine engine(small_engine(1));
+  const ModelHandle tiny = engine.load("tiny", tiny_nl);
+  const ModelHandle big = engine.load("big", big_nl);
+  EXPECT_THROW(Cascade(engine, tiny, big), Error);
+  EXPECT_THROW(Cascade(engine, big, tiny), Error);
+}
+
+// Each request moves on as soon as its own stage finishes: with request A's
+// stage-1 run held inside the member hook, request B (submitted after A, run
+// by the other worker) must resolve while A is still held.
+TEST(Cascade, SlowRequestDoesNotHoldUpLaterAnswers) {
+  Rng gen(306);
+  const Netlist tiny_nl = reconvergent_grid(8, 3, gen);
+  const Netlist big_nl = reconvergent_grid(8, 5, gen);
+  EngineOptions eopt = small_engine(2);
+  eopt.batch_timeout = std::chrono::microseconds(0);  // every request seals alone
+  eopt.hedging = false;  // a duplicate must not finish A behind the hook's back
+  Engine engine(eopt);
+  const ModelHandle tiny = engine.load("tiny", tiny_nl);
+  const ModelHandle big = engine.load("big", big_nl);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_running = false;
+  bool release_a = false;
+  std::atomic<bool> first{true};
+  engine.set_member_hook([&](const std::string& model, std::size_t, bool) {
+    if (model != "tiny" || !first.exchange(false)) return;
+    std::unique_lock<std::mutex> lk(mu);
+    a_running = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return release_a; });
+  });
+
+  CascadeOptions copt;
+  copt.confident = [](const std::vector<bool>&) { return true; };
+  Cascade cascade(engine, tiny, big, copt);
+
+  const std::vector<bool> a_bits(tiny_nl.num_inputs(), true);
+  const std::vector<bool> b_bits(tiny_nl.num_inputs(), false);
+  auto a = cascade.submit(a_bits);
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_for(lk, 10s, [&] { return a_running; }));
+  }
+  auto b = cascade.submit(b_bits);
+  const bool b_ready = b.wait_for(3s) == std::future_status::ready;
+  EXPECT_TRUE(b_ready) << "B waited behind the held request A";
+  EXPECT_NE(a.wait_for(0s), std::future_status::ready);
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release_a = true;
+  }
+  cv.notify_all();
+  cascade.drain();
+  EXPECT_EQ(a.get(), simulate_scalar(tiny_nl, a_bits));
+  EXPECT_EQ(b.get(), simulate_scalar(tiny_nl, b_bits));
+  const CascadeReport rep = cascade.report();
+  EXPECT_EQ(rep.submitted, 2u);
+  EXPECT_EQ(rep.stage1_answered, 2u);
+  EXPECT_EQ(rep.failed, 0u);
   engine.set_member_hook(nullptr);
 }
 

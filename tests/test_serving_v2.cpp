@@ -1,5 +1,6 @@
 // Serving API v2 coverage: model lifecycle (unload, idle eviction, stale
-// handles), bounded per-model admission (try_submit / blocking backpressure),
+// handles), bounded per-model admission (every entry point's refusals, the
+// callback form, the Router's one retry, try_submit / blocking backpressure),
 // parallel compile admission (distinct keys overlap, same keys dedup), and
 // shutdown/unload races against concurrent submitters.
 
@@ -19,6 +20,7 @@
 #include "common/error.hpp"
 #include "netlist/random_circuits.hpp"
 #include "netlist/simulate.hpp"
+#include "router/router.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/engine.hpp"
 
@@ -666,6 +668,219 @@ TEST(AdmissionV2, PastDeadlineShedsAtAdmission) {
     // expected: "engine is shut down"
   }
   EXPECT_EQ(engine.report().shed, 2u);  // unchanged by the post-shutdown probe
+}
+
+// Every refusal cause, driven through each entry point. admit() and both
+// try_submit forms report the same status, leave the caller's inputs intact
+// and never call back; the blocking submit throws the exception
+// throw_refusal() maps the status to, message included. A shed is booked
+// exactly once per refused request, whichever entry point refused it.
+TEST(AdmissionV2, RefusalParityAcrossEntryPoints) {
+  ManualClock clock(TimePoint{} + std::chrono::hours(1));
+  Rng gen(141);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  std::vector<bool> bits(nl.num_inputs());
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = gen.next_bool();
+  enum class Cause { kShutdown, kUnload, kShed, kBound };
+  const struct {
+    Cause cause;
+    SubmitStatus status;
+    const char* message;  ///< the blocking submit's; nullptr: it never refuses
+  } kTable[] = {
+      {Cause::kShutdown, SubmitStatus::kShuttingDown, "engine is shut down"},
+      {Cause::kUnload, SubmitStatus::kUnloaded, "model 'grid' is unloaded"},
+      {Cause::kShed, SubmitStatus::kDeadlineUnmeetable,
+       "model 'grid': estimated drain time exceeds the deadline"},
+      {Cause::kBound, SubmitStatus::kQueueFull, nullptr},
+  };
+  for (const auto& row : kTable) {
+    SCOPED_TRACE(to_string(row.status));
+    EngineOptions eopt = small_engine(1);
+    eopt.batch_timeout = std::chrono::hours(1);
+    eopt.clock = &clock;
+    Engine engine(eopt);
+    ModelOptions mopt;
+    mopt.queue_bound = 1;
+    const ModelHandle grid = engine.load("grid", nl, mopt);
+    TimePoint deadline = kNoDeadline;
+    std::future<std::vector<bool>> parked;
+    switch (row.cause) {
+      case Cause::kShutdown: engine.shutdown(); break;
+      case Cause::kUnload: ASSERT_TRUE(engine.unload(grid)); break;
+      case Cause::kShed: deadline = clock.now() - std::chrono::microseconds(1); break;
+      case Cause::kBound: parked = engine.submit(grid, bits); break;
+    }
+
+    bool called = false;
+    Completion on_done = [&](std::exception_ptr, std::vector<bool>&&) {
+      called = true;
+    };
+    std::vector<bool> inputs = bits;
+    std::future<std::vector<bool>> fut;
+    EXPECT_EQ(engine.admit(grid, inputs, nullptr, &fut, deadline, /*block=*/false),
+              row.status);
+    EXPECT_FALSE(fut.valid());
+    EXPECT_EQ(engine.admit(grid, inputs, &on_done, nullptr, deadline,
+                           /*block=*/false),
+              row.status);
+    EXPECT_EQ(inputs, bits);
+    EXPECT_TRUE(static_cast<bool>(on_done));
+    EXPECT_EQ(engine.try_submit(grid, bits, &fut, deadline), row.status);
+    EXPECT_FALSE(fut.valid());
+    EXPECT_EQ(engine.try_submit(grid, bits, on_done, deadline), row.status);
+    std::uint64_t refusals = 4;
+    if (row.message != nullptr) {
+      ++refusals;
+      try {
+        engine.submit(grid, bits, deadline);
+        ADD_FAILURE() << "submit must throw";
+      } catch (const DeadlineExceeded& e) {
+        EXPECT_EQ(row.status, SubmitStatus::kDeadlineUnmeetable);
+        EXPECT_STREQ(e.what(), row.message);
+      } catch (const Error& e) {
+        EXPECT_NE(row.status, SubmitStatus::kDeadlineUnmeetable);
+        EXPECT_STREQ(e.what(), row.message);
+      }
+      try {
+        throw_refusal(row.status, "grid");
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), row.message);
+      }
+    }
+    engine.drain();
+    EXPECT_FALSE(called);
+    EXPECT_EQ(engine.report().shed,
+              row.status == SubmitStatus::kDeadlineUnmeetable ? refusals : 0u);
+    if (parked.valid()) {
+      EXPECT_EQ(parked.get(), simulate_scalar(nl, bits));
+    }
+  }
+}
+
+// The callback form settles exactly once per accepted request, on success
+// and on expiry, and it may admit more work without blocking: drain() waits
+// for what a callback admits, because the callback runs before its own
+// request leaves in_flight().
+TEST(AdmissionV2, CallbackSettlesOnceAndMayAdmitMore) {
+  ManualClock clock;
+  Rng gen(142);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  EngineOptions eopt = small_engine(2);
+  eopt.batch_timeout = std::chrono::hours(1);
+  eopt.clock = &clock;
+  Engine engine(eopt);
+  ModelOptions mopt;
+  mopt.queue_bound = 64;
+  const ModelHandle grid = engine.load("grid", nl, mopt);
+  const std::vector<bool> bits(nl.num_inputs(), true);
+  const std::vector<bool> want = simulate_scalar(nl, bits);
+
+  std::mutex mu;
+  std::vector<std::vector<bool>> answers;
+  std::vector<std::string> errors;
+  const auto collect = [&](std::exception_ptr error, std::vector<bool>&& out) {
+    std::lock_guard<std::mutex> lk(mu);
+    if (!error) {
+      answers.push_back(std::move(out));
+      return;
+    }
+    try {
+      std::rethrow_exception(error);
+    } catch (const DeadlineExceeded& e) {
+      errors.push_back(e.what());
+    } catch (...) {
+      errors.push_back("unexpected exception type");
+    }
+  };
+  // The first answer admits a follow-up from inside its callback.
+  EXPECT_EQ(engine.try_submit(
+                grid, bits,
+                [&](std::exception_ptr error, std::vector<bool>&& out) {
+                  EXPECT_EQ(engine.try_submit(grid, bits, collect),
+                            SubmitStatus::kAccepted);
+                  collect(std::move(error), std::move(out));
+                }),
+            SubmitStatus::kAccepted);
+  // This one expires in the queue: its callback carries DeadlineExceeded.
+  EXPECT_EQ(engine.try_submit(grid, bits, collect,
+                              clock.now() + std::chrono::microseconds(5)),
+            SubmitStatus::kAccepted);
+  clock.advance(std::chrono::microseconds(10));
+  engine.drain();
+  EXPECT_EQ(engine.in_flight(), 0u);
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0], want);
+  EXPECT_EQ(answers[1], want);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("expired"), std::string::npos) << errors[0];
+  EXPECT_THROW(engine.try_submit(grid, bits, Completion{}), Error);
+}
+
+// A Router refusal leaves the caller's inputs intact, so its one retry needs
+// no copy of them. The route hook makes the sampled winner refuse — shard 0
+// fills to its bound (try_submit), or shard 1's replica retires (submit) —
+// and the retry must reach the other replica and answer the caller's bits.
+TEST(AdmissionV2, RouterRetryReachesOtherReplicaWithCallerBits) {
+  Rng gen(143);
+  const Netlist nl = reconvergent_grid(8, 4, gen);
+  std::vector<bool> bits(nl.num_inputs());
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = gen.next_bool();
+  const std::vector<bool> other(nl.num_inputs(), false);
+  ASSERT_NE(bits, other);
+  router::RouterOptions ropt;
+  ropt.num_shards = 2;
+  ropt.initial_replicas = 2;
+  ropt.engine = small_engine(1);
+  ropt.engine.batch_timeout = std::chrono::hours(1);
+
+  {
+    // Non-blocking: the cold fleet routes to shard 0 (tie-break); the hook
+    // fills it to its bound of 1, so the first attempt is kQueueFull.
+    router::Router router(ropt);
+    ModelOptions mopt;
+    mopt.queue_bound = 1;
+    const router::RoutedHandle h = router.load("grid", nl, mopt);
+    std::future<std::vector<bool>> filler;
+    bool fill = true;
+    router.set_route_hook([&] {
+      if (!fill) return;
+      fill = false;
+      filler = router.submit(h, other);
+    });
+    std::future<std::vector<bool>> fut;
+    EXPECT_EQ(router.try_submit(h, bits, &fut), SubmitStatus::kAccepted);
+    router.set_route_hook(nullptr);
+    EXPECT_EQ(router.shard(0).in_flight(), 1u);
+    EXPECT_EQ(router.shard(1).in_flight(), 1u);
+    router.drain();
+    EXPECT_EQ(fut.get(), simulate_scalar(nl, bits));
+    EXPECT_EQ(filler.get(), simulate_scalar(nl, other));
+    EXPECT_EQ(router.report().per_shard[1].requests, 1u);
+  }
+  {
+    // Blocking: shard 0 holds one request, so shard 1 wins the route; the
+    // hook retires shard 1's replica (the least loaded), so the first
+    // attempt is kUnloaded and the retry lands on shard 0.
+    router::Router router(ropt);
+    const router::RoutedHandle h = router.load("grid", nl);
+    std::future<std::vector<bool>> parked = router.submit(h, other);
+    ASSERT_EQ(router.shard(0).in_flight(), 1u);
+    bool retire = true;
+    router.set_route_hook([&] {
+      if (!retire) return;
+      retire = false;
+      router.set_replicas(h, 1);
+    });
+    std::future<std::vector<bool>> fut = router.submit(h, bits);
+    router.set_route_hook(nullptr);
+    EXPECT_EQ(router.replica_shards(h), (std::vector<std::size_t>{0}));
+    EXPECT_EQ(router.shard(0).in_flight(), 2u);
+    router.drain();
+    EXPECT_EQ(fut.get(), simulate_scalar(nl, bits));
+    EXPECT_EQ(parked.get(), simulate_scalar(nl, other));
+    EXPECT_EQ(router.report().total.shed, 0u);
+  }
 }
 
 namespace {

@@ -156,6 +156,9 @@ TEST(VerilogParser, ErrorsAreReported) {
                ParseError);  // combinational cycle
   EXPECT_THROW(parse_module("module t(a,y); input [3:0] a; output y; assign y = a; endmodule"),
                ParseError);  // vector without bit-select
+  EXPECT_THROW(parse_module(
+                   "module t(a,y); input [99999999999:0] a; output y; assign y = a[0]; endmodule"),
+               ParseError);  // number past int range
 }
 
 TEST(VerilogWriter, RoundTripPreservesSemantics) {
